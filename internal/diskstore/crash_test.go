@@ -97,7 +97,7 @@ func runScript(s *Store) (acked int) {
 		}
 		var err error
 		if b.exch {
-			_, err = s.Exchange(b.idxs, data, []int64{0})
+			_, err = s.Exchange(nil, b.idxs, data, []int64{0})
 		} else {
 			err = s.WriteMany(b.idxs, data)
 		}

@@ -130,6 +130,7 @@ type Store struct {
 	unsynced  int
 	closed    bool
 	stats     Stats
+	crc       [4]byte // v1 slot-checksum scratch for readSlot
 	// fsyncHist records WAL fsync durations on the commit and checkpoint
 	// paths — the durability component of server-side op latency
 	// (DESIGN.md §2.13).
@@ -380,22 +381,42 @@ func (s *Store) slotOff(i int64) int64 {
 	return segHeaderSize + i*int64(s.slotSize)
 }
 
-// readSlot reads one slot (checksum-verified on v1 segments). Callers hold
-// s.mu.
-func (s *Store) readSlot(i int64) ([]byte, error) {
-	buf := make([]byte, s.slotSize)
-	if _, err := s.seg.ReadAt(buf, s.slotOff(i)); err != nil {
-		return nil, fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
+// readSlot reads slot i's block into dst, which is exactly blockSize bytes
+// (checksum-verified on v1 segments, whose 4-byte prefix goes to the
+// store's crc scratch). Callers hold s.mu.
+func (s *Store) readSlot(dst []byte, i int64) error {
+	off := s.slotOff(i)
+	if s.ver == segVersionCRC {
+		if _, err := s.seg.ReadAt(s.crc[:], off); err != nil {
+			return fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
+		}
+		off += int64(len(s.crc))
+	}
+	if _, err := s.seg.ReadAt(dst, off); err != nil {
+		return fmt.Errorf("diskstore: read slot %d (%s): %w", i, s.name, err)
 	}
 	if s.ver == segVersionCRC {
-		stored := binary.LittleEndian.Uint32(buf[:4])
-		if got := crc32.Checksum(buf[4:], crcTable) ^ s.zeroCRC; got != stored {
-			return nil, fmt.Errorf("%w: slot %d of %s (crc %#x, want %#x)", ErrCorrupt, i, s.name, got, stored)
+		stored := binary.LittleEndian.Uint32(s.crc[:])
+		if got := crc32.Checksum(dst, crcTable) ^ s.zeroCRC; got != stored {
+			return fmt.Errorf("%w: slot %d of %s (crc %#x, want %#x)", ErrCorrupt, i, s.name, got, stored)
 		}
-		buf = buf[4:]
 	}
 	s.stats.BlocksRead++
-	return buf, nil
+	return nil
+}
+
+// readSlots appends the blocks at the (validated) idxs to dst. Callers hold
+// s.mu.
+func (s *Store) readSlots(dst []byte, idxs []int64) ([]byte, error) {
+	bs := s.blockSize
+	off := len(dst)
+	dst = storage.GrowBlocks(dst, len(idxs), bs)
+	for k, i := range idxs {
+		if err := s.readSlot(dst[off+k*bs:off+(k+1)*bs], i); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // writeSlot writes one slot (checksum-prefixed on v1 segments). Callers hold
@@ -503,8 +524,8 @@ func (s *Store) Read(i int64) ([]byte, error) {
 	if err := s.checkRange("read", i); err != nil {
 		return nil, err
 	}
-	blk, err := s.readSlot(i)
-	if err != nil {
+	blk := make([]byte, s.blockSize)
+	if err := s.readSlot(blk, i); err != nil {
 		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
@@ -538,31 +559,30 @@ func (s *Store) Write(i int64, data []byte) error {
 	return nil
 }
 
-// ReadMany implements storage.BatchStore.
-func (s *Store) ReadMany(idxs []int64) ([][]byte, error) {
+// ReadMany implements storage.BatchStore: each slot is read straight into
+// its place in dst.
+func (s *Store) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
+	for _, i := range idxs {
 		if err := s.checkRange("batch read", i); err != nil {
 			return nil, err
 		}
-		blk, err := s.readSlot(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
+	}
+	dst, err := s.readSlots(dst, idxs)
+	if err != nil {
+		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
 		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // WriteMany implements storage.BatchStore: the whole batch commits
@@ -599,13 +619,13 @@ func (s *Store) WriteMany(idxs []int64, data [][]byte) error {
 
 // Exchange implements storage.ExchangeStore: the writes commit as one
 // atomic WAL record, then the reads are served, all under one lock so the
-// reads observe the freshly written blocks.
-func (s *Store) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+// reads observe the freshly written blocks. The reads are appended to dst.
+func (s *Store) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("diskstore: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -630,21 +650,14 @@ func (s *Store) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64
 			return nil, err
 		}
 	}
-	var out [][]byte
-	if len(readIdxs) > 0 {
-		out = make([][]byte, len(readIdxs))
-		for k, i := range readIdxs {
-			blk, err := s.readSlot(i)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = blk
-		}
+	dst, err := s.readSlots(dst, readIdxs)
+	if err != nil {
+		return nil, err
 	}
 	if m := s.opts.Meter; m != nil {
 		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Sync checkpoints the store: every committed batch becomes durable and the

@@ -29,8 +29,8 @@ func openTemp(t *testing.T, slots int64, blockSize int, opts Options) *Store {
 // (duplicate-index last-writer-wins, exchange read-after-write, wrapped
 // ErrOutOfRange) that MemStore and the remote client also run.
 func TestDiskStoreBatchContract(t *testing.T) {
-	storetest.TestBatchContract(t, "disk", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
-		return openTemp(t, slots, blockSize, Options{})
+	storetest.TestBatchContract(t, "disk", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.BatchStore {
+		return openTemp(t, slots, blockSize, Options{Meter: m})
 	})
 }
 
@@ -59,7 +59,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := s.WriteMany([]int64{0, 7, 31}, [][]byte{block(48, 1), block(48, 7), block(48, 31)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exchange([]int64{7}, [][]byte{block(48, 77)}, nil); err != nil {
+	if _, err := s.Exchange(nil, []int64{7}, [][]byte{block(48, 77)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -389,10 +389,10 @@ func TestMeterAccounting(t *testing.T) {
 	if err := s.WriteMany([]int64{0, 1, 2}, [][]byte{block(32, 1), block(32, 2), block(32, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadMany([]int64{0, 1}); err != nil {
+	if _, err := s.ReadMany(nil, []int64{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exchange([]int64{3}, [][]byte{block(32, 4)}, []int64{3}); err != nil {
+	if _, err := s.Exchange(nil, []int64{3}, [][]byte{block(32, 4)}, []int64{3}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Snapshot()

@@ -100,14 +100,24 @@ type PathORAM struct {
 	rand     LeafSource
 	sched    *scheduler
 
-	// Scratch buffers reused by the seal/open hot loops so a steady-state
-	// access allocates nothing per bucket. Safe because a PathORAM serves
-	// one access at a time and every store implementation consumes batch
-	// payloads before returning (storage.BatchStore contract).
-	openBuf  []byte   // OpenTo target for path downloads
+	// Scratch reused by every access so a steady-state access allocates
+	// nothing. Safe because a PathORAM serves one access at a time. readBuf
+	// is the caller-owned dst of every path download (storage.BatchStore
+	// contract): the store appends the sealed buckets to it, and they are
+	// opened into the stash before the next download reuses it. Write-back
+	// views into sealBuf are consumed by WriteMany before it returns.
+	readBuf  []byte   // sealed path download, buckets back to back
+	openBuf  []byte   // OpenTo target for one downloaded bucket
 	plainBuf []byte   // one plaintext bucket, reused per level
 	sealBuf  []byte   // SealTo target for a whole path write-back
 	sealView [][]byte // per-level views into sealBuf
+	nodeBuf  []int64  // pathNodes result
+	// free holds the payload buffers of evicted stash entries for reuse by
+	// the next blocks entering the stash. Every stash payload is exactly
+	// PayloadSize bytes, and a recycled buffer is always fully overwritten
+	// before it is reused (parseBucketInto copies a whole slot payload;
+	// Write zero-fills past the caller's bytes).
+	free [][]byte
 
 	// Client-side telemetry counters (see Telemetry); never server-visible.
 	accesses       int64
@@ -343,10 +353,29 @@ func (o *PathORAM) Write(key uint64, payload []byte) error {
 	if len(payload) > o.cfg.PayloadSize {
 		return fmt.Errorf("oram: payload %d exceeds block payload size %d", len(payload), o.cfg.PayloadSize)
 	}
-	buf := make([]byte, o.cfg.PayloadSize)
-	copy(buf, payload)
+	buf := o.payloadBuf()
+	clear(buf[copy(buf, payload):])
 	_, err := o.access(key, buf, false, nil)
 	return err
+}
+
+// payloadBuf returns a PayloadSize-byte buffer for a block entering the
+// stash, recycled from an evicted block when one is free. Its contents are
+// stale; the caller overwrites all of it.
+func (o *PathORAM) payloadBuf() []byte {
+	if n := len(o.free); n > 0 {
+		b := o.free[n-1]
+		o.free = o.free[:n-1]
+		return b
+	}
+	return make([]byte, o.cfg.PayloadSize)
+}
+
+// recycle hands the payload buffer of a block leaving the stash back for
+// reuse. The caller no longer needs its contents: an evicted payload has
+// been copied into its sealed bucket, a replaced one is overwritten.
+func (o *PathORAM) recycle(payload []byte) {
+	o.free = append(o.free, payload)
 }
 
 // Update implements ORAM: a single path access that reads, mutates, and
@@ -382,30 +411,27 @@ type accessPlan struct {
 	newLeaf  uint32 // position installed in the map (real accesses)
 }
 
-// plan runs the position-remap stage: pick the new leaf, read-and-replace
-// the position-map entry (or a dummy position-map operation), and record
-// which path the access must fetch.
-func (o *PathORAM) plan(key uint64, newData []byte, dummy bool, update func([]byte) error) (*accessPlan, error) {
+// plan runs the position-remap stage on p, whose operation fields (key,
+// newData, update, dummy) the caller has set: pick the new leaf,
+// read-and-replace the position-map entry (or a dummy position-map
+// operation), and record which path the access must fetch.
+func (o *PathORAM) plan(p *accessPlan) error {
 	o.accesses++
-	p := &accessPlan{key: key, newData: newData, update: update, dummy: dummy}
-	if dummy {
+	if p.dummy {
 		o.dummyAccesses++
 		p.leaf = o.randomLeaf()
 		// Keep position-map access counts uniform across real and dummy
 		// operations so they remain indistinguishable even when the position
 		// map itself lives in a recursive ORAM.
-		if err := o.pos.dummyOp(); err != nil {
-			return nil, err
-		}
-		return p, nil
+		return o.pos.dummyOp()
 	}
-	if key >= uint64(o.cfg.Capacity) {
-		return nil, fmt.Errorf("oram: key %d out of capacity %d", key, o.cfg.Capacity)
+	if p.key >= uint64(o.cfg.Capacity) {
+		return fmt.Errorf("oram: key %d out of capacity %d", p.key, o.cfg.Capacity)
 	}
 	p.newLeaf = o.randomLeaf()
-	old, ok, err := o.pos.getAndSet(key, p.newLeaf)
+	old, ok, err := o.pos.getAndSet(p.key, p.newLeaf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		p.leaf = old
@@ -413,7 +439,7 @@ func (o *PathORAM) plan(key uint64, newData []byte, dummy bool, update func([]by
 		p.leaf = o.randomLeaf()
 		p.notFound = true
 	}
-	return p, nil
+	return nil
 }
 
 // apply runs the stash-apply stage: with the plan's path already fetched
@@ -426,6 +452,9 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 	entry, ok := o.stash[p.key]
 	switch {
 	case p.newData != nil:
+		if ok {
+			o.recycle(entry.payload)
+		}
 		o.stash[p.key] = stashEntry{leaf: p.newLeaf, payload: p.newData}
 		return nil, nil
 	case !ok || p.notFound:
@@ -450,14 +479,14 @@ func (o *PathORAM) apply(p *accessPlan) ([]byte, error) {
 // immediately (the classic two-round protocol); otherwise the scheduler
 // defers it.
 func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]byte) error) ([]byte, error) {
-	p, err := o.plan(key, newData, dummy, update)
-	if err != nil {
+	p := accessPlan{key: key, newData: newData, update: update, dummy: dummy}
+	if err := o.plan(&p); err != nil {
 		return nil, err
 	}
 	if err := o.sched.fetch([]uint32{p.leaf}); err != nil {
 		return nil, err
 	}
-	result, err := o.apply(p)
+	result, err := o.apply(&p)
 	if werr := o.sched.evict(p.leaf); werr != nil && err == nil {
 		err = werr
 	}
@@ -468,35 +497,33 @@ func (o *PathORAM) access(key uint64, newData []byte, dummy bool, update func([]
 }
 
 // readPath fetches the sealed buckets at the given nodes into the stash.
-// With a BatchStore this is one ReadMany — the single download round of a
-// Path-ORAM access; otherwise it degrades to per-bucket reads accounted as
-// one simulated round.
+// With a BatchStore this is one ReadMany into the reusable read buffer —
+// the single download round of a Path-ORAM access; otherwise it degrades
+// to per-bucket reads accounted as one simulated round.
 func (o *PathORAM) readPath(path []int64) error {
 	o.bucketsRead += int64(len(path))
-	var sealedBuckets [][]byte
-	if o.batch != nil {
-		var err error
-		sealedBuckets, err = o.batch.ReadMany(path)
-		if err != nil {
-			return err
-		}
-	} else {
-		sealedBuckets = make([][]byte, len(path))
-		for k, node := range path {
-			sealed, err := o.store.Read(node)
-			if err != nil {
-				return err
-			}
-			sealedBuckets[k] = sealed
-		}
-		if o.cfg.Meter != nil {
-			o.cfg.Meter.CountRound()
-		}
+	sealed, err := storage.ReadBlocks(o.store, o.readBuf[:0], path)
+	if err != nil {
+		return err
 	}
-	for k, sealed := range sealedBuckets {
-		plain, err := o.sealer.OpenTo(o.openBuf[:0], sealed)
+	o.readBuf = sealed[:0]
+	if o.batch == nil && o.cfg.Meter != nil {
+		o.cfg.Meter.CountRound()
+	}
+	return o.openPath(path, sealed)
+}
+
+// openPath opens the sealed buckets downloaded for path — back to back in
+// sealed, in path order — into the stash.
+func (o *PathORAM) openPath(path []int64, sealed []byte) error {
+	sbs := xcrypto.SealedLen(o.bucketSize)
+	if len(sealed) != len(path)*sbs {
+		return fmt.Errorf("oram: store %q returned %d bytes for %d buckets", o.cfg.Name, len(sealed), len(path))
+	}
+	for k, node := range path {
+		plain, err := o.sealer.OpenTo(o.openBuf[:0], sealed[k*sbs:(k+1)*sbs])
 		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, path[k], err)
+			return fmt.Errorf("oram: store %q bucket %d: %w", o.cfg.Name, node, err)
 		}
 		o.openBuf = plain[:0]
 		o.parseBucketInto(plain)
@@ -505,9 +532,13 @@ func (o *PathORAM) readPath(path []int64) error {
 }
 
 // pathNodes returns the 0-based store indices of the buckets on the path
-// from the root to the given leaf, root first.
+// from the root to the given leaf, root first. The result is instance
+// scratch, valid until the next call.
 func (o *PathORAM) pathNodes(leaf uint32) []int64 {
-	nodes := make([]int64, o.levels)
+	if cap(o.nodeBuf) < o.levels {
+		o.nodeBuf = make([]int64, o.levels)
+	}
+	nodes := o.nodeBuf[:o.levels]
 	// 1-based heap index of the leaf bucket.
 	idx := o.leaves + int64(leaf)
 	for i := o.levels - 1; i >= 0; i-- {
@@ -546,7 +577,7 @@ func (o *PathORAM) parseBucketInto(plain []byte) {
 		if _, already := o.stash[key]; already {
 			continue // stash copy is authoritative
 		}
-		payload := make([]byte, o.cfg.PayloadSize)
+		payload := o.payloadBuf()
 		copy(payload, slot[slotHeader:])
 		o.stash[key] = stashEntry{
 			leaf:    binary.LittleEndian.Uint32(slot[9:13]),
@@ -597,6 +628,7 @@ func (o *PathORAM) writePath(leaf uint32, path []int64) error {
 			putSlotHeader(slot, key, entry.leaf)
 			copy(slot[slotHeader:], entry.payload)
 			delete(o.stash, key)
+			o.recycle(entry.payload)
 			filled++
 		}
 		o.levelPlaced[lvl] += int64(filled)

@@ -1,8 +1,8 @@
 package oram
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"oblivjoin/internal/xcrypto"
 )
@@ -55,8 +55,14 @@ type scheduler struct {
 
 	// sealBuf is the reusable SealTo target for a flush's eviction set; the
 	// staged views into it stay valid until the store accepts the round, and
-	// a failed flush simply re-seals over it on retry.
+	// a failed flush simply re-seals over it on retry. es, nodes, taken and
+	// union are the flush's and the coalesced fetch's reusable scratch, so
+	// a steady-state flush allocates nothing.
 	sealBuf []byte
+	es      evictionSet
+	nodes   []evictNode
+	taken   map[uint64]bool // stash keys placed by the flush being sealed
+	union   []int64
 
 	// Telemetry (client-side only).
 	flushes         int64
@@ -71,26 +77,28 @@ func newScheduler(o *PathORAM, batch int) *scheduler {
 	if batch < 1 {
 		batch = 1
 	}
-	return &scheduler{o: o, batch: batch}
+	return &scheduler{
+		o:     o,
+		batch: batch,
+		es:    evictionSet{levelPlaced: make([]int64, o.levels)},
+		taken: make(map[uint64]bool),
+	}
 }
 
 // unionNodes returns the sorted union of the root-to-leaf paths of the
 // given leaves. For a single leaf it is exactly pathNodes (root first).
+// The result is scratch, valid until the next call.
 func (s *scheduler) unionNodes(leaves []uint32) []int64 {
 	if len(leaves) == 1 {
 		return s.o.pathNodes(leaves[0])
 	}
-	seen := make(map[int64]bool, len(leaves)*s.o.levels)
-	var nodes []int64
+	nodes := s.union[:0]
 	for _, leaf := range leaves {
-		for _, n := range s.o.pathNodes(leaf) {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
-			}
-		}
+		nodes = append(nodes, s.o.pathNodes(leaf)...)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	s.union = nodes
 	return nodes
 }
 
@@ -202,11 +210,12 @@ func (s *scheduler) exchangeFetch(leaves []uint32) error {
 	// The combined round carries the deferred write-back; label it as the
 	// flush it is (the ride-along fetch is what makes the round free).
 	restore := s.o.cfg.Flight.PushPhase("oram.flush")
-	sealed, err := s.o.exch.Exchange(es.idxs, es.data, ridxs)
+	sealed, err := s.o.exch.Exchange(s.o.readBuf[:0], es.idxs, es.data, ridxs)
 	restore()
 	if err != nil {
 		return err
 	}
+	s.o.readBuf = sealed[:0]
 	// Commit before parsing the read buckets back in: a bucket written by
 	// this very exchange may be re-read by it, and its blocks must re-enter
 	// the stash *after* the commit drained their evicted copies.
@@ -217,27 +226,27 @@ func (s *scheduler) exchangeFetch(leaves []uint32) error {
 		s.batchedAccesses += int64(len(leaves))
 	}
 	s.o.bucketsRead += int64(len(ridxs))
-	for k, sb := range sealed {
-		plain, err := s.o.sealer.OpenTo(s.o.openBuf[:0], sb)
-		if err != nil {
-			return fmt.Errorf("oram: store %q bucket %d: %w", s.o.cfg.Name, ridxs[k], err)
-		}
-		s.o.openBuf = plain[:0]
-		s.o.parseBucketInto(plain)
-	}
-	return nil
+	return s.o.openPath(ridxs, sealed)
 }
 
 // evictionSet is a sealed flush staged for the store: the bucket writes,
 // plus everything commit needs to drain the client state once the store
-// has durably accepted them.
+// has durably accepted them. The scheduler reuses one set for every flush.
 type evictionSet struct {
 	idxs        []int64  // ascending store indices
-	data        [][]byte // sealed buckets, aligned with idxs
+	data        [][]byte // sealed buckets (views into sealBuf), aligned with idxs
 	placed      []uint64 // stash keys serialized into the buckets
 	levelPlaced []int64  // per-level placement counts
 	paths       int      // pending paths covered by the set
 	dedupSaved  int64    // bucket writes avoided by intra-flush dedup
+}
+
+// evictNode is one bucket of a flush: its store index, tree level, and the
+// offset of its sealed bytes in sealBuf.
+type evictNode struct {
+	idx int64
+	lvl int
+	off int
 }
 
 // sealEvictionSet serializes the pending queue into sealed buckets for the
@@ -249,88 +258,81 @@ type evictionSet struct {
 // write succeeds — so a failed flush loses nothing.
 func (s *scheduler) sealEvictionSet() (*evictionSet, error) {
 	o := s.o
-	type node struct {
-		idx int64
-		lvl int
-	}
-	seen := make(map[int64]bool, len(s.pending)*o.levels)
-	var nodes []node
+	nodes := s.nodes[:0]
 	for _, leaf := range s.pending {
 		for lvl := 0; lvl < o.levels; lvl++ {
-			idx := o.nodeAtLevel(leaf, lvl)
-			if !seen[idx] {
-				seen[idx] = true
-				nodes = append(nodes, node{idx: idx, lvl: lvl})
-			}
+			nodes = append(nodes, evictNode{idx: o.nodeAtLevel(leaf, lvl), lvl: lvl})
 		}
 	}
-	es := &evictionSet{
-		paths:       len(s.pending),
-		dedupSaved:  int64(len(s.pending)*o.levels - len(nodes)),
-		levelPlaced: make([]int64, o.levels),
-	}
-	// Fill deepest buckets first so blocks sink as far as allowed.
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].lvl != nodes[j].lvl {
-			return nodes[i].lvl > nodes[j].lvl
+	// Fill deepest buckets first so blocks sink as far as allowed. A bucket
+	// shared by several pending paths sorts into one run and is kept once.
+	slices.SortFunc(nodes, func(a, b evictNode) int {
+		if a.lvl != b.lvl {
+			return cmp.Compare(b.lvl, a.lvl)
 		}
-		return nodes[i].idx < nodes[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
-	taken := make(map[uint64]bool)
-	sealedByIdx := make(map[int64][]byte, len(nodes))
-	if need := len(nodes) * xcrypto.SealedLen(o.bucketSize); cap(s.sealBuf) < need {
+	nodes = slices.CompactFunc(nodes, func(a, b evictNode) bool { return a.idx == b.idx })
+	s.nodes = nodes
+	es := &s.es
+	es.paths = len(s.pending)
+	es.dedupSaved = int64(len(s.pending)*o.levels - len(nodes))
+	es.placed = es.placed[:0]
+	clear(es.levelPlaced)
+	clear(s.taken)
+	sbs := xcrypto.SealedLen(o.bucketSize)
+	if need := len(nodes) * sbs; cap(s.sealBuf) < need {
 		s.sealBuf = make([]byte, 0, need)
 	}
 	seal := s.sealBuf[:0]
-	for _, n := range nodes {
+	for k := range nodes {
+		n := &nodes[k]
 		bucket := o.bucketScratch()
 		filled := 0
 		for key, entry := range o.stash {
 			if filled == o.z {
 				break
 			}
-			if taken[key] || o.nodeAtLevel(entry.leaf, n.lvl) != n.idx {
+			if s.taken[key] || o.nodeAtLevel(entry.leaf, n.lvl) != n.idx {
 				continue
 			}
 			slot := bucket[filled*o.slotSize:]
 			slot[0] = 1
 			putSlotHeader(slot, key, entry.leaf)
 			copy(slot[slotHeader:], entry.payload)
-			taken[key] = true
+			s.taken[key] = true
 			es.placed = append(es.placed, key)
 			filled++
 		}
 		es.levelPlaced[n.lvl] += int64(filled)
-		off := len(seal)
+		n.off = len(seal)
 		var serr error
 		seal, serr = o.sealer.SealTo(seal, bucket)
 		if serr != nil {
 			return nil, serr
 		}
-		sealedByIdx[n.idx] = seal[off:]
 	}
 	s.sealBuf = seal
 	// Write in ascending store-index order: for a single path this is the
 	// same root-to-leaf order writePath uses.
-	es.idxs = make([]int64, 0, len(nodes))
-	for idx := range sealedByIdx {
-		es.idxs = append(es.idxs, idx)
-	}
-	sort.Slice(es.idxs, func(i, j int) bool { return es.idxs[i] < es.idxs[j] })
-	es.data = make([][]byte, len(es.idxs))
-	for k, idx := range es.idxs {
-		es.data[k] = sealedByIdx[idx]
+	slices.SortFunc(nodes, func(a, b evictNode) int { return cmp.Compare(a.idx, b.idx) })
+	es.idxs = es.idxs[:0]
+	es.data = es.data[:0]
+	for _, n := range nodes {
+		es.idxs = append(es.idxs, n.idx)
+		es.data = append(es.data, seal[n.off:n.off+sbs])
 	}
 	return es, nil
 }
 
 // commit drains the client state a successfully stored eviction set covered:
 // the placed blocks leave the stash (their authoritative copies now live in
-// the written buckets), the pending queue empties, and the flush telemetry
-// advances.
+// the written buckets, so their payload buffers are recycled), the pending
+// queue empties, and the flush telemetry advances.
 func (s *scheduler) commit(es *evictionSet) {
 	o := s.o
 	for _, key := range es.placed {
+		o.recycle(o.stash[key].payload)
 		delete(o.stash, key)
 	}
 	s.pending = s.pending[:0]
@@ -362,15 +364,14 @@ func (o *PathORAM) ReadBatch(keys []uint64) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	plans := make([]*accessPlan, len(keys))
+	plans := make([]accessPlan, len(keys))
 	leaves := make([]uint32, len(keys))
 	for i, k := range keys {
-		p, err := o.plan(k, nil, false, nil)
-		if err != nil {
+		plans[i].key = k
+		if err := o.plan(&plans[i]); err != nil {
 			return nil, err
 		}
-		plans[i] = p
-		leaves[i] = p.leaf
+		leaves[i] = plans[i].leaf
 	}
 	return o.finishBatch(plans, leaves)
 }
@@ -381,15 +382,14 @@ func (o *PathORAM) DummyBatch(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	plans := make([]*accessPlan, n)
+	plans := make([]accessPlan, n)
 	leaves := make([]uint32, n)
 	for i := range plans {
-		p, err := o.plan(0, nil, true, nil)
-		if err != nil {
+		plans[i].dummy = true
+		if err := o.plan(&plans[i]); err != nil {
 			return err
 		}
-		plans[i] = p
-		leaves[i] = p.leaf
+		leaves[i] = plans[i].leaf
 	}
 	_, err := o.finishBatch(plans, leaves)
 	return err
@@ -399,14 +399,14 @@ func (o *PathORAM) DummyBatch(n int) error {
 // All plans are applied before any path is queued for eviction, so an
 // eviction cannot sink a block that a later plan in the same batch still
 // needs out of the stash.
-func (o *PathORAM) finishBatch(plans []*accessPlan, leaves []uint32) ([][]byte, error) {
+func (o *PathORAM) finishBatch(plans []accessPlan, leaves []uint32) ([][]byte, error) {
 	if err := o.sched.fetch(leaves); err != nil {
 		return nil, err
 	}
 	results := make([][]byte, len(plans))
 	var firstErr error
-	for i, p := range plans {
-		res, err := o.apply(p)
+	for i := range plans {
+		res, err := o.apply(&plans[i])
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -35,11 +35,13 @@ func newBatchORAM(t testing.TB, capacity int64, payload int, meter *storage.Mete
 // WriteMany rounds instead of riding a fetch.
 type batchOnlyStore struct{ s *storage.MemStore }
 
-func (w batchOnlyStore) Read(i int64) ([]byte, error)             { return w.s.Read(i) }
-func (w batchOnlyStore) Write(i int64, d []byte) error            { return w.s.Write(i, d) }
-func (w batchOnlyStore) Len() int64                               { return w.s.Len() }
-func (w batchOnlyStore) BlockSize() int                           { return w.s.BlockSize() }
-func (w batchOnlyStore) ReadMany(idxs []int64) ([][]byte, error)  { return w.s.ReadMany(idxs) }
+func (w batchOnlyStore) Read(i int64) ([]byte, error)  { return w.s.Read(i) }
+func (w batchOnlyStore) Write(i int64, d []byte) error { return w.s.Write(i, d) }
+func (w batchOnlyStore) Len() int64                    { return w.s.Len() }
+func (w batchOnlyStore) BlockSize() int                { return w.s.BlockSize() }
+func (w batchOnlyStore) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
+	return w.s.ReadMany(dst, idxs)
+}
 func (w batchOnlyStore) WriteMany(idxs []int64, d [][]byte) error { return w.s.WriteMany(idxs, d) }
 
 // TestSchedulerMatchesReference drives randomized workloads through every
@@ -325,22 +327,24 @@ type faultableStore struct {
 	fail bool
 }
 
-func (w *faultableStore) Read(i int64) ([]byte, error)            { return w.s.Read(i) }
-func (w *faultableStore) Write(i int64, d []byte) error           { return w.s.Write(i, d) }
-func (w *faultableStore) Len() int64                              { return w.s.Len() }
-func (w *faultableStore) BlockSize() int                          { return w.s.BlockSize() }
-func (w *faultableStore) ReadMany(idxs []int64) ([][]byte, error) { return w.s.ReadMany(idxs) }
+func (w *faultableStore) Read(i int64) ([]byte, error)  { return w.s.Read(i) }
+func (w *faultableStore) Write(i int64, d []byte) error { return w.s.Write(i, d) }
+func (w *faultableStore) Len() int64                    { return w.s.Len() }
+func (w *faultableStore) BlockSize() int                { return w.s.BlockSize() }
+func (w *faultableStore) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
+	return w.s.ReadMany(dst, idxs)
+}
 func (w *faultableStore) WriteMany(idxs []int64, d [][]byte) error {
 	if w.fail {
 		return fmt.Errorf("injected write failure")
 	}
 	return w.s.WriteMany(idxs, d)
 }
-func (w *faultableStore) Exchange(widxs []int64, wdata [][]byte, ridxs []int64) ([][]byte, error) {
+func (w *faultableStore) Exchange(dst []byte, widxs []int64, wdata [][]byte, ridxs []int64) ([]byte, error) {
 	if w.fail {
 		return nil, fmt.Errorf("injected exchange failure")
 	}
-	return w.s.Exchange(widxs, wdata, ridxs)
+	return w.s.Exchange(dst, widxs, wdata, ridxs)
 }
 
 // exchangelessFaultableStore forwards to a faultableStore through a named
@@ -352,8 +356,8 @@ func (w exchangelessFaultableStore) Read(i int64) ([]byte, error)  { return w.fs
 func (w exchangelessFaultableStore) Write(i int64, d []byte) error { return w.fs.Write(i, d) }
 func (w exchangelessFaultableStore) Len() int64                    { return w.fs.Len() }
 func (w exchangelessFaultableStore) BlockSize() int                { return w.fs.BlockSize() }
-func (w exchangelessFaultableStore) ReadMany(idxs []int64) ([][]byte, error) {
-	return w.fs.ReadMany(idxs)
+func (w exchangelessFaultableStore) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
+	return w.fs.ReadMany(dst, idxs)
 }
 func (w exchangelessFaultableStore) WriteMany(idxs []int64, d [][]byte) error {
 	return w.fs.WriteMany(idxs, d)

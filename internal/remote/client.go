@@ -116,8 +116,9 @@ func (e *errTransient) Unwrap() error { return e.err }
 
 // frame is a reusable request/response buffer pair. One frame serves one
 // round trip; pooling them makes steady-state encoding and frame reads
-// allocation-free — decode still copies block payloads out, so nothing
-// returned to a caller aliases pooled memory.
+// allocation-free — decode copies block payloads out (into the caller's
+// read buffer on the batch-read path), so nothing returned to a caller
+// aliases pooled memory.
 type frame struct{ out, in []byte }
 
 var framePool = sync.Pool{New: func() any { return &frame{} }}
@@ -316,8 +317,10 @@ func (c *Client) EndSession() error {
 // roundTrip performs one request over one connection under the per-request
 // deadline, tightened by the bound context's deadline if that is sooner.
 // The remaining budget is declared to the server in DeadlineMS.
-// Network-level failures come back wrapped as transient.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*Response, error) {
+// Network-level failures come back wrapped as transient. With blockSize >
+// 0 the response's blocks are appended to dst (DecodeResponseInto) and the
+// extended slice returned; otherwise they land in Response.Blocks.
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request, dst []byte, blockSize int) (*Response, []byte, error) {
 	deadline := time.Now().Add(c.opts.requestTimeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -328,20 +331,24 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*R
 		req.DeadlineMS = 1 // declare an (expired) deadline rather than none
 	}
 	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	f := framePool.Get().(*frame)
 	defer framePool.Put(f)
 	f.out = AppendFramedRequest(f.out[:0], req)
 	if _, err := conn.Write(f.out); err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	payload, err := ReadFrameInto(conn, c.opts.MaxFrame, f.in[:0])
 	if err != nil {
-		return nil, &errTransient{err}
+		return nil, nil, &errTransient{err}
 	}
 	f.in = payload[:0]
-	return DecodeResponse(payload)
+	if blockSize > 0 {
+		return DecodeResponseInto(payload, dst, blockSize)
+	}
+	resp, err := DecodeResponse(payload)
+	return resp, nil, err
 }
 
 // call executes a request with bounded retry and exponential backoff on
@@ -350,6 +357,14 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, req *Request) (*R
 // bound context stops the retry loop at its deadline or cancellation —
 // a hung server costs at most one I/O deadline, never an unbounded wait.
 func (c *Client) call(req *Request) (*Response, error) {
+	resp, _, err := c.callInto(req, nil, 0)
+	return resp, err
+}
+
+// callInto is call with the response's blocks appended to dst, each
+// exactly blockSize bytes (roundTrip's decode-into path); the extended
+// slice is returned on success.
+func (c *Client) callInto(req *Request, dst []byte, blockSize int) (*Response, []byte, error) {
 	ctx := c.boundCtx()
 	if req.Session == 0 && req.Op != OpHello {
 		req.Session = c.sessionID()
@@ -372,19 +387,19 @@ func (c *Client) call(req *Request) (*Response, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
+				return nil, nil, fmt.Errorf("remote: %s %q: %w (last error: %v)", req.Op, req.Store, err, lastErr)
 			}
-			return nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
+			return nil, nil, fmt.Errorf("remote: %s %q: %w", req.Op, req.Store, err)
 		}
 		conn, err := c.get()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return nil, err
+				return nil, nil, err
 			}
 			lastErr = err
 			continue
 		}
-		resp, err := c.roundTrip(ctx, conn, req)
+		resp, out, err := c.roundTrip(ctx, conn, req, dst, blockSize)
 		if err != nil {
 			// The connection is in an unknown state mid-protocol: discard it.
 			conn.Close()
@@ -393,22 +408,22 @@ func (c *Client) call(req *Request) (*Response, error) {
 				lastErr = err
 				continue
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		c.put(conn)
 		switch resp.Status {
 		case StatusOK:
-			return resp, nil
+			return resp, out, nil
 		case StatusTransient:
 			lastErr = &errTransient{errors.New(resp.Msg)}
 			continue
 		case StatusBusy:
-			return nil, &RemoteError{Msg: resp.Msg, Busy: true}
+			return nil, nil, &RemoteError{Msg: resp.Msg, Busy: true}
 		default:
-			return nil, &RemoteError{Msg: resp.Msg}
+			return nil, nil, &RemoteError{Msg: resp.Msg}
 		}
 	}
-	return nil, fmt.Errorf("remote: %s %q failed after %d attempts: %w",
+	return nil, nil, fmt.Errorf("remote: %s %q failed after %d attempts: %w",
 		req.Op, req.Store, c.opts.maxRetries()+1, lastErr)
 }
 
@@ -507,22 +522,23 @@ func (s *RemoteStore) Write(i int64, data []byte) error {
 
 // ReadMany implements storage.BatchStore: the whole batch is one request,
 // hence one round trip — the fast path that lets Path-ORAM fetch a full
-// tree path per round.
-func (s *RemoteStore) ReadMany(idxs []int64) ([][]byte, error) {
+// tree path per round. The response blocks decode straight into dst.
+func (s *RemoteStore) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	resp, err := s.c.call(&Request{Op: OpReadMany, Store: s.name, Indices: idxs})
+	off := len(dst)
+	_, out, err := s.c.callInto(&Request{Op: OpReadMany, Store: s.name, Indices: idxs}, dst, s.blockSize)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Blocks) != len(idxs) {
-		return nil, fmt.Errorf("%w: batch read returned %d of %d blocks", ErrMalformed, len(resp.Blocks), len(idxs))
+	if n := (len(out) - off) / s.blockSize; n != len(idxs) {
+		return nil, fmt.Errorf("%w: batch read returned %d of %d blocks", ErrMalformed, n, len(idxs))
 	}
 	if m := s.c.opts.Meter; m != nil {
 		m.CountBatch(s.name, storage.KindRead, idxs, s.blockSize)
 	}
-	return resp.Blocks, nil
+	return out, nil
 }
 
 // WriteMany implements storage.BatchStore.
@@ -545,37 +561,39 @@ func (s *RemoteStore) WriteMany(idxs []int64, data [][]byte) error {
 
 // Exchange implements storage.ExchangeStore: the writes and reads travel in
 // one OpExchange request, and the server applies the writes before serving
-// the reads. Degenerate forms collapse to the plain batch ops (which skip
-// the wire entirely when empty), and a retried exchange is idempotent for
-// the same reason batch writes are: absolute indices, absolute contents.
-func (s *RemoteStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+// the reads, which decode straight into dst. Degenerate forms collapse to
+// the plain batch ops (which skip the wire entirely when empty), and a
+// retried exchange is idempotent for the same reason batch writes are:
+// absolute indices, absolute contents.
+func (s *RemoteStore) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("remote: exchange of %d write blocks with %d payloads", len(writeIdxs), len(writeData))
 	}
-	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
-	}
 	if len(readIdxs) == 0 {
-		return nil, s.WriteMany(writeIdxs, writeData)
+		if err := s.WriteMany(writeIdxs, writeData); err != nil {
+			return nil, err
+		}
+		return dst, nil
 	}
 	if len(writeIdxs) == 0 {
-		return s.ReadMany(readIdxs)
+		return s.ReadMany(dst, readIdxs)
 	}
-	resp, err := s.c.call(&Request{
+	off := len(dst)
+	_, out, err := s.c.callInto(&Request{
 		Op:           OpExchange,
 		Store:        s.name,
 		Indices:      readIdxs,
 		WriteIndices: writeIdxs,
 		Blocks:       writeData,
-	})
+	}, dst, s.blockSize)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Blocks) != len(readIdxs) {
-		return nil, fmt.Errorf("%w: exchange returned %d of %d blocks", ErrMalformed, len(resp.Blocks), len(readIdxs))
+	if n := (len(out) - off) / s.blockSize; n != len(readIdxs) {
+		return nil, fmt.Errorf("%w: exchange returned %d of %d blocks", ErrMalformed, n, len(readIdxs))
 	}
 	if m := s.c.opts.Meter; m != nil {
 		m.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return resp.Blocks, nil
+	return out, nil
 }

@@ -34,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"oblivjoin/internal/storage"
 )
 
 // DefaultMaxFrame bounds a single wire frame (64 MiB), comfortably above
@@ -525,24 +527,11 @@ func AppendResponse(b []byte, resp *Response) []byte {
 	return b
 }
 
-// DecodeResponse parses a frame payload into a Response.
+// DecodeResponse parses a frame payload into a Response. The blocks are
+// copied out of payload into one fresh slab.
 func DecodeResponse(payload []byte) (*Response, error) {
 	r := &reader{b: payload}
-	if len(r.b) < 1 {
-		return nil, fmt.Errorf("%w: empty response", ErrMalformed)
-	}
-	status := Status(r.b[0])
-	r.b = r.b[1:]
-	if status > StatusBusy {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, status)
-	}
-	resp := &Response{Status: status}
-	msg, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	resp.Msg = string(msg)
-	nBlk, err := r.length(1)
+	resp, nBlk, err := r.responseHead()
 	if err != nil {
 		return nil, err
 	}
@@ -555,20 +544,90 @@ func DecodeResponse(payload []byte) (*Response, error) {
 			}
 		}
 	}
-	if resp.Slots, err = r.int64(); err != nil {
+	if err := r.responseTail(resp); err != nil {
 		return nil, err
 	}
+	return resp, nil
+}
+
+// DecodeResponseInto parses a frame payload like DecodeResponse, but
+// appends the block payloads back to back to dst — each must be exactly
+// blockSize bytes — and returns the extended dst, leaving resp.Blocks nil.
+// It is the client's read path: a batch lands directly in the caller's
+// buffer (storage.BatchStore's dst contract) with no per-block copy or
+// allocation. On error the returned slice is nil.
+func DecodeResponseInto(payload, dst []byte, blockSize int) (*Response, []byte, error) {
+	r := &reader{b: payload}
+	resp, nBlk, err := r.responseHead()
+	if err != nil {
+		return nil, nil, err
+	}
+	// A block costs at least blockSize+1 payload bytes (length varint
+	// included), so a forged count cannot grow dst past the frame's size.
+	if nBlk > len(r.b)/(blockSize+1) {
+		return nil, nil, fmt.Errorf("%w: %d blocks of %d bytes exceed payload", ErrMalformed, nBlk, blockSize)
+	}
+	off := len(dst)
+	dst = storage.GrowBlocks(dst, nBlk, blockSize)
+	for k := 0; k < nBlk; k++ {
+		n, err := r.length(1)
+		if err != nil {
+			return nil, nil, err
+		}
+		if n != blockSize {
+			return nil, nil, fmt.Errorf("%w: block %d is %d bytes, want %d", ErrMalformed, k, n, blockSize)
+		}
+		copy(dst[off+k*blockSize:], r.b[:n])
+		r.b = r.b[n:]
+	}
+	if err := r.responseTail(resp); err != nil {
+		return nil, nil, err
+	}
+	return resp, dst, nil
+}
+
+// responseHead decodes a response's status and message, and the count of
+// blocks that follow.
+func (r *reader) responseHead() (*Response, int, error) {
+	if len(r.b) < 1 {
+		return nil, 0, fmt.Errorf("%w: empty response", ErrMalformed)
+	}
+	status := Status(r.b[0])
+	r.b = r.b[1:]
+	if status > StatusBusy {
+		return nil, 0, fmt.Errorf("%w: unknown status %d", ErrMalformed, status)
+	}
+	resp := &Response{Status: status}
+	msg, err := r.bytes()
+	if err != nil {
+		return nil, 0, err
+	}
+	resp.Msg = string(msg)
+	nBlk, err := r.length(1)
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp, nBlk, nil
+}
+
+// responseTail decodes the fields after the blocks and rejects trailing
+// bytes.
+func (r *reader) responseTail(resp *Response) error {
+	var err error
+	if resp.Slots, err = r.int64(); err != nil {
+		return err
+	}
 	if resp.BlockSize, err = r.int64(); err != nil {
-		return nil, err
+		return err
 	}
 	// Trailing session ID, present only on OpHello replies.
 	if len(r.b) > 0 {
 		if resp.Session, err = r.int64(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
 	}
-	return resp, nil
+	return nil
 }

@@ -287,6 +287,30 @@ func TestDecodeResponseMalformed(t *testing.T) {
 // message decoders: none may panic, and any allocation they perform must be
 // bounded by the input length (enforced indirectly — a forged count that
 // over-allocates would OOM the fuzzer).
+// TestDecodeResponseInto pins the client's batch-read decode: blocks land
+// back to back after dst's prefix, a block of the wrong size or a forged
+// block count is malformed, and nothing is returned on error.
+func TestDecodeResponseInto(t *testing.T) {
+	resp := &Response{Status: StatusOK, Blocks: [][]byte{[]byte("aaaa"), []byte("bbbb")}, Slots: 3}
+	payload := EncodeResponse(resp)
+	got, out, err := DecodeResponseInto(payload, []byte("pre"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != "preaaaabbbb" || got.Blocks != nil || got.Slots != 3 {
+		t.Fatalf("decoded %+v with blocks %q", got, out)
+	}
+	if _, out, err := DecodeResponseInto(payload, nil, 3); !errors.Is(err, ErrMalformed) || out != nil {
+		t.Fatalf("wrong block size: %q, %v", out, err)
+	}
+	// A count claiming more blocks than the payload can carry is rejected
+	// before dst grows.
+	forged := []byte{byte(StatusOK), 0, 0xFF, 0xFF, 0x03, 4, 'a', 'a', 'a', 'a', 0, 0}
+	if _, out, err := DecodeResponseInto(forged, nil, 4); !errors.Is(err, ErrMalformed) || out != nil {
+		t.Fatalf("forged count: %q, %v", out, err)
+	}
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(EncodeRequest(&Request{Op: OpRead, Store: "t", Indices: []int64{1}}))
 	f.Add(EncodeRequest(&Request{Op: OpWriteMany, Store: "t", Indices: []int64{1, 2}, Blocks: [][]byte{[]byte("a"), []byte("b")}}))
@@ -326,6 +350,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if !reflect.DeepEqual(back, req) {
 				t.Fatalf("re-encode mismatch: %+v != %+v", back, req)
+			}
+		}
+		// The decode-into path accepts exactly the frames whose blocks all
+		// have the expected size, and lands the same bytes.
+		if resp, out, err := DecodeResponseInto(data, nil, 3); err == nil {
+			ref, err := DecodeResponse(data)
+			if err != nil {
+				t.Fatalf("DecodeResponseInto accepted what DecodeResponse rejects: %v", err)
+			}
+			if !bytes.Equal(out, bytes.Join(ref.Blocks, nil)) || len(out) != 3*len(ref.Blocks) {
+				t.Fatalf("decode-into blocks %q, want %q", out, ref.Blocks)
+			}
+			ref.Blocks = nil
+			if !reflect.DeepEqual(resp, ref) {
+				t.Fatalf("decode-into response %+v, want %+v", resp, ref)
 			}
 		}
 		if resp, err := DecodeResponse(data); err == nil {

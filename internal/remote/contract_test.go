@@ -17,9 +17,15 @@ import (
 func TestRemoteStoreBatchContract(t *testing.T) {
 	_, c := startServer(t, ServerOptions{}, ClientOptions{})
 	n := 0
-	storetest.TestBatchContract(t, "remote", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "remote", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.BatchStore {
 		n++
-		st, err := c.Create(fmt.Sprintf("contract%d", n), slots, blockSize)
+		// A client of its own carries the suite's meter for this store.
+		mc, err := Dial(ClientOptions{Addr: c.opts.Addr, Meter: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mc.Close() })
+		st, err := mc.Create(fmt.Sprintf("contract%d", n), slots, blockSize)
 		if err != nil {
 			t.Fatal(err)
 		}

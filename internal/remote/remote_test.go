@@ -121,12 +121,12 @@ func TestRemoteBatchOps(t *testing.T) {
 	if err := st.WriteMany(idxs, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.ReadMany(idxs)
+	got, err := st.ReadMany(nil, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range idxs {
-		if !bytes.Equal(got[k], data[k]) {
+		if !bytes.Equal(got[k*8:(k+1)*8], data[k]) {
 			t.Fatalf("block %d mismatch", idxs[k])
 		}
 	}
@@ -140,14 +140,14 @@ func TestRemoteBatchOps(t *testing.T) {
 		t.Fatalf("counters: %+v", counts)
 	}
 	// Batch errors propagate.
-	if _, err := st.ReadMany([]int64{0, 99}); err == nil {
+	if _, err := st.ReadMany(nil, []int64{0, 99}); err == nil {
 		t.Fatal("out-of-range batch read accepted")
 	}
 	if err := st.WriteMany([]int64{0}, data); err == nil {
 		t.Fatal("mismatched batch write accepted")
 	}
 	// Empty batches are free.
-	if out, err := st.ReadMany(nil); err != nil || out != nil {
+	if out, err := st.ReadMany(nil, nil); err != nil || out != nil {
 		t.Fatalf("empty batch: %v %v", out, err)
 	}
 }
@@ -165,7 +165,7 @@ func TestRemoteMeterCountsRealRounds(t *testing.T) {
 	if err := st.WriteMany(idxs, blocks); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadMany(idxs); err != nil {
+	if _, err := st.ReadMany(nil, idxs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Read(0); err != nil {

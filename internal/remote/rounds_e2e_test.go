@@ -35,22 +35,22 @@ func TestExchangeRPCOverLoopback(t *testing.T) {
 	}
 
 	before := m.Snapshot()
-	got, err := st.Exchange(
+	got, err := st.Exchange(nil,
 		[]int64{2, 3}, [][]byte{exBlock(20, size), exBlock(30, size)},
 		[]int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("%d blocks returned", len(got))
+	if len(got) != 3*size {
+		t.Fatalf("%d bytes returned, want 3 blocks", len(got))
 	}
 	// Writes apply before reads: indices 2 and 3 must come back with the
 	// contents that travelled in this very request.
-	if !bytes.Equal(got[0], exBlock(1, size)) {
-		t.Fatalf("untouched index 1 corrupted: %v", got[0][:4])
+	if !bytes.Equal(got[:size], exBlock(1, size)) {
+		t.Fatalf("untouched index 1 corrupted: %v", got[:4])
 	}
-	if !bytes.Equal(got[1], exBlock(20, size)) || !bytes.Equal(got[2], exBlock(30, size)) {
-		t.Fatalf("exchange reads predate its writes: %v %v", got[1][:4], got[2][:4])
+	if !bytes.Equal(got[size:2*size], exBlock(20, size)) || !bytes.Equal(got[2*size:], exBlock(30, size)) {
+		t.Fatalf("exchange reads predate its writes: %v %v", got[size:size+4], got[2*size:2*size+4])
 	}
 	d := m.Snapshot().Sub(before)
 	if d.NetworkRounds != 1 {
@@ -63,14 +63,14 @@ func TestExchangeRPCOverLoopback(t *testing.T) {
 	// Degenerate forms collapse to the plain batch ops; the empty exchange
 	// skips the wire entirely.
 	before = m.Snapshot()
-	if got, err = st.Exchange(nil, nil, []int64{0}); err != nil || !bytes.Equal(got[0], exBlock(0, size)) {
+	if got, err = st.Exchange(nil, nil, nil, []int64{0}); err != nil || !bytes.Equal(got, exBlock(0, size)) {
 		t.Fatalf("read-only exchange: %v %v", err, got)
 	}
 	if d := m.Snapshot().Sub(before); d.NetworkRounds != 1 || d.BlockWrites != 0 {
 		t.Fatalf("read-only exchange stats: %+v", d)
 	}
 	before = m.Snapshot()
-	if _, err := st.Exchange(nil, nil, nil); err != nil {
+	if _, err := st.Exchange(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := m.Snapshot().Sub(before); d.NetworkRounds != 0 {

@@ -356,10 +356,13 @@ func (s *Server) serveConn(cs *connState) {
 		s.mu.Unlock()
 		cs.c.Close()
 	}()
-	// Per-connection frame buffers: one goroutine serves the connection, so
-	// reuse across iterations is race-free, and DecodeRequest copies block
-	// payloads out of inBuf before the handler runs.
+	// Per-connection frame and read buffers: one goroutine serves the
+	// connection, so reuse across iterations is race-free. DecodeRequest
+	// copies block payloads out of inBuf before the handler runs, and the
+	// response — whose blocks may view sc — is encoded into outBuf before
+	// the next request is read.
 	var inBuf, outBuf []byte
+	var sc readScratch
 	for {
 		payload, err := ReadFrameInto(cs.c, s.opts.maxFrame(), inBuf[:0])
 		if err != nil {
@@ -375,7 +378,7 @@ func (s *Server) serveConn(cs *connState) {
 		if derr != nil {
 			resp = &Response{Status: StatusError, Msg: derr.Error()}
 		} else {
-			resp = s.handle(req)
+			resp = s.handle(req, &sc)
 		}
 		outBuf = AppendFramedResponse(outBuf[:0], resp)
 		_, werr := cs.c.Write(outBuf)
@@ -390,9 +393,10 @@ func (s *Server) serveConn(cs *connState) {
 	}
 }
 
-// handle executes one request. The fault model runs first so injected
-// latency and transient failures shape every operation uniformly.
-func (s *Server) handle(req *Request) *Response {
+// handle executes one request, reading batch blocks into the connection's
+// scratch sc. The fault model runs first so injected latency and transient
+// failures shape every operation uniformly.
+func (s *Server) handle(req *Request, sc *readScratch) *Response {
 	start := time.Now()
 	if f := s.opts.Faults; f != nil {
 		delay, transient := f.Next(req)
@@ -454,13 +458,13 @@ func (s *Server) handle(req *Request) *Response {
 	if g, ok := st.(*session.Guard); ok {
 		st = g.Timed(&tm)
 	}
-	resp := s.dispatch(st, req)
+	resp := s.dispatch(st, req, sc)
 	s.observe(req, tenant, time.Since(start), tm)
 	return resp
 }
 
 // dispatch executes a store-scoped op against the (possibly timed) store.
-func (s *Server) dispatch(st storage.Store, req *Request) *Response {
+func (s *Server) dispatch(st storage.Store, req *Request, sc *readScratch) *Response {
 	fail := func(err error) *Response { return &Response{Status: StatusError, Msg: err.Error()} }
 	switch req.Op {
 	case OpRead:
@@ -481,11 +485,11 @@ func (s *Server) dispatch(st storage.Store, req *Request) *Response {
 		}
 		return &Response{}
 	case OpReadMany:
-		blocks, err := readMany(st, req.Indices)
+		buf, err := storage.ReadBlocks(st, sc.buf[:0], req.Indices)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Blocks: blocks}
+		return &Response{Blocks: sc.views(buf, st.BlockSize())}
 	case OpWriteMany:
 		if len(req.Indices) != len(req.Blocks) {
 			return fail(fmt.Errorf("remote: batch write of %d indices with %d blocks", len(req.Indices), len(req.Blocks)))
@@ -498,11 +502,11 @@ func (s *Server) dispatch(st storage.Store, req *Request) *Response {
 		if len(req.WriteIndices) != len(req.Blocks) {
 			return fail(fmt.Errorf("remote: exchange of %d write indices with %d blocks", len(req.WriteIndices), len(req.Blocks)))
 		}
-		blocks, err := exchange(st, req.WriteIndices, req.Blocks, req.Indices)
+		buf, err := exchange(st, sc.buf[:0], req.WriteIndices, req.Blocks, req.Indices)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Blocks: blocks}
+		return &Response{Blocks: sc.views(buf, st.BlockSize())}
 	case OpStat:
 		return &Response{Slots: st.Len(), BlockSize: int64(st.BlockSize())}
 	default:
@@ -578,24 +582,33 @@ func (s *Server) handleTrace(req *Request) *Response {
 	return &Response{Blocks: [][]byte{data}}
 }
 
-// readMany / writeMany prefer the hosted store's native batch support and
-// fall back to per-block operations otherwise — either way the client paid
-// exactly one round trip.
-func readMany(st storage.Store, idxs []int64) ([][]byte, error) {
-	if b, ok := st.(storage.BatchStore); ok {
-		return b.ReadMany(idxs)
-	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
-		blk, err := st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
+// readScratch is one connection's reusable batch-read target: the blocks
+// land back to back in buf, and blocks holds the per-block views the
+// response encoder walks. Both are valid until the connection's next
+// request.
+type readScratch struct {
+	buf    []byte
+	blocks [][]byte
 }
 
+// views keeps buf (the grown read buffer) for the next request and returns
+// its blockSize-byte blocks as views, nil for an empty read.
+func (sc *readScratch) views(buf []byte, blockSize int) [][]byte {
+	sc.buf = buf[:0]
+	n := len(buf) / blockSize
+	if n == 0 {
+		return nil
+	}
+	sc.blocks = sc.blocks[:0]
+	for k := 0; k < n; k++ {
+		sc.blocks = append(sc.blocks, buf[k*blockSize:(k+1)*blockSize])
+	}
+	return sc.blocks
+}
+
+// writeMany prefers the hosted store's native batch support and falls back
+// to per-block writes otherwise (storage.ReadBlocks is the read side) —
+// either way the client paid exactly one round trip.
 func writeMany(st storage.Store, idxs []int64, blocks [][]byte) error {
 	if b, ok := st.(storage.BatchStore); ok {
 		return b.WriteMany(idxs, blocks)
@@ -608,20 +621,18 @@ func writeMany(st storage.Store, idxs []int64, blocks [][]byte) error {
 	return nil
 }
 
-// exchange applies the writes, then serves the reads — the order the ORAM
-// scheduler's correctness argument depends on. A store with native exchange
-// support runs both under one lock; the fallback composes the batch ops.
-func exchange(st storage.Store, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+// exchange applies the writes, then appends the reads to dst — the order
+// the ORAM scheduler's correctness argument depends on. A store with
+// native exchange support runs both under one lock; the fallback composes
+// the batch ops.
+func exchange(st storage.Store, dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if x, ok := st.(storage.ExchangeStore); ok {
-		return x.Exchange(writeIdxs, writeData, readIdxs)
+		return x.Exchange(dst, writeIdxs, writeData, readIdxs)
 	}
 	if err := writeMany(st, writeIdxs, writeData); err != nil {
 		return nil, err
 	}
-	if len(readIdxs) == 0 {
-		return nil, nil
-	}
-	return readMany(st, readIdxs)
+	return storage.ReadBlocks(st, dst, readIdxs)
 }
 
 // handleHello admits a new session. The request's Slots field carries the

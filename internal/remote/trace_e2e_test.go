@@ -38,11 +38,11 @@ func TestTraceSpansEndToEnd(t *testing.T) {
 	if err := st.Write(1, blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadMany([]int64{0, 1}); err != nil {
+	if _, err := st.ReadMany(nil, []int64{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	f.SetPhase("join.smj")
-	if _, err := st.Exchange([]int64{2}, [][]byte{blk}, []int64{0, 2}); err != nil {
+	if _, err := st.Exchange(nil, []int64{2}, [][]byte{blk}, []int64{0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	f.Deactivate()
@@ -131,10 +131,10 @@ func tracedRemoteOps(t *testing.T, traced bool) ([]storage.Access, Counters) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.ReadMany([]int64{0, 2}); err != nil {
+	if _, err := st.ReadMany(nil, []int64{0, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Exchange([]int64{5}, [][]byte{blk}, []int64{1, 5}); err != nil {
+	if _, err := st.Exchange(nil, []int64{5}, [][]byte{blk}, []int64{1, 5}); err != nil {
 		t.Fatal(err)
 	}
 	return m.Trace(), srv.Counts("g")
@@ -176,11 +176,11 @@ func phaseRun(t *testing.T, fill byte) []string {
 	// registry only admits pre-declared public labels, so a label derived
 	// from data is silently dropped.
 	f.SetPhase(fmt.Sprintf("secret-%d", fill))
-	if _, err := st.ReadMany([]int64{1, 2}); err != nil {
+	if _, err := st.ReadMany(nil, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	f.SetPhase("sort.merge")
-	if _, err := st.Exchange([]int64{3}, [][]byte{blk}, []int64{0}); err != nil {
+	if _, err := st.Exchange(nil, []int64{3}, [][]byte{blk}, []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := c.FetchServerSpans(id)

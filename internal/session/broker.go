@@ -249,28 +249,18 @@ func (g *Guard) write(i int64, data []byte, t *Timing) error {
 	return g.st.Write(i, data)
 }
 
-// ReadMany implements storage.BatchStore as one atomic round.
-func (g *Guard) ReadMany(idxs []int64) ([][]byte, error) { return g.readMany(idxs, nil) }
+// ReadMany implements storage.BatchStore as one atomic round, reading
+// into the caller's dst.
+func (g *Guard) ReadMany(dst []byte, idxs []int64) ([]byte, error) { return g.readMany(dst, idxs, nil) }
 
-func (g *Guard) readMany(idxs []int64, t *Timing) ([][]byte, error) {
+func (g *Guard) readMany(dst []byte, idxs []int64, t *Timing) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	g.lock(t)
 	defer g.mu.Unlock()
 	defer clockIO(t)()
-	if b, ok := g.st.(storage.BatchStore); ok {
-		return b.ReadMany(idxs)
-	}
-	out := make([][]byte, len(idxs))
-	for k, i := range idxs {
-		blk, err := g.st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
+	return storage.ReadBlocks(g.st, dst, idxs)
 }
 
 // WriteMany implements storage.BatchStore as one atomic round, applying
@@ -303,40 +293,30 @@ func (g *Guard) writeManyLocked(idxs []int64, data [][]byte) error {
 }
 
 // Exchange implements storage.ExchangeStore as one atomic round: all
-// writes land, then the reads are served, with no other session's round
-// in between — exactly the ordering the deferred-eviction flush relies on.
-func (g *Guard) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
-	return g.exchange(writeIdxs, writeData, readIdxs, nil)
+// writes land, then the reads are appended to dst, with no other session's
+// round in between — exactly the ordering the deferred-eviction flush
+// relies on.
+func (g *Guard) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
+	return g.exchange(dst, writeIdxs, writeData, readIdxs, nil)
 }
 
-func (g *Guard) exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([][]byte, error) {
+func (g *Guard) exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64, t *Timing) ([]byte, error) {
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	g.lock(t)
 	defer g.mu.Unlock()
 	defer clockIO(t)()
 	if x, ok := g.st.(storage.ExchangeStore); ok {
-		return x.Exchange(writeIdxs, writeData, readIdxs)
+		return x.Exchange(dst, writeIdxs, writeData, readIdxs)
 	}
 	if err := g.writeManyLocked(writeIdxs, writeData); err != nil {
 		return nil, err
 	}
 	if len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	if b, ok := g.st.(storage.BatchStore); ok {
-		return b.ReadMany(readIdxs)
-	}
-	out := make([][]byte, len(readIdxs))
-	for k, i := range readIdxs {
-		blk, err := g.st.Read(i)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = blk
-	}
-	return out, nil
+	return storage.ReadBlocks(g.st, dst, readIdxs)
 }
 
 // Close implements io.Closer, forwarding to the wrapped store if it is
@@ -362,14 +342,14 @@ func (v timedGuard) Len() int64                       { return v.g.len(v.t) }
 func (v timedGuard) BlockSize() int                   { return v.g.BlockSize() }
 func (v timedGuard) Read(i int64) ([]byte, error)     { return v.g.read(i, v.t) }
 func (v timedGuard) Write(i int64, data []byte) error { return v.g.write(i, data, v.t) }
-func (v timedGuard) ReadMany(i []int64) ([][]byte, error) {
-	return v.g.readMany(i, v.t)
+func (v timedGuard) ReadMany(dst []byte, i []int64) ([]byte, error) {
+	return v.g.readMany(dst, i, v.t)
 }
 func (v timedGuard) WriteMany(i []int64, d [][]byte) error {
 	return v.g.writeMany(i, d, v.t)
 }
-func (v timedGuard) Exchange(wi []int64, wd [][]byte, ri []int64) ([][]byte, error) {
-	return v.g.exchange(wi, wd, ri, v.t)
+func (v timedGuard) Exchange(dst []byte, wi []int64, wd [][]byte, ri []int64) ([]byte, error) {
+	return v.g.exchange(dst, wi, wd, ri, v.t)
 }
 
 var (

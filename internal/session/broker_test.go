@@ -13,9 +13,9 @@ import (
 // against a broker-guarded MemStore: the guard is a transparent store to
 // its single session.
 func TestBrokerGuardContract(t *testing.T) {
-	storetest.TestBatchContract(t, "broker", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "broker", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.BatchStore {
 		b := NewBroker()
-		return b.Wrap("conformance", storage.NewMemStore("conformance", slots, blockSize, nil))
+		return b.Wrap("conformance", storage.NewMemStore("conformance", slots, blockSize, m))
 	})
 }
 
@@ -26,7 +26,7 @@ func TestBrokerGuardContract(t *testing.T) {
 // session sharing the guard, and no data race may exist in the broker.
 func TestBrokerGuardContractConcurrent(t *testing.T) {
 	const extra = 8 // high slots reserved for the rival session
-	storetest.TestBatchContract(t, "broker-contended", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+	storetest.TestBatchContract(t, "broker-contended", func(t *testing.T, slots int64, blockSize int, _ *storage.Meter) storage.BatchStore {
 		b := NewBroker()
 		g := b.Wrap("contended", storage.NewMemStore("contended", slots+extra, blockSize, nil))
 
@@ -52,11 +52,11 @@ func TestBrokerGuardContractConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := g.Exchange(hi[:2], data[:2], hi[2:4]); err != nil {
+				if _, err := g.Exchange(nil, hi[:2], data[:2], hi[2:4]); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := g.ReadMany(hi); err != nil {
+				if _, err := g.ReadMany(nil, hi); err != nil {
 					t.Error(err)
 					return
 				}
@@ -91,13 +91,13 @@ func TestBrokerSerializesRounds(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				// Write both slots with my fill, read both back in the same
 				// round: an interleaved rival round would tear the pair.
-				got, err := g.Exchange([]int64{0, 1}, [][]byte{blk, blk}, []int64{0, 1})
+				got, err := g.Exchange(nil, []int64{0, 1}, [][]byte{blk, blk}, []int64{0, 1})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(got[0], blk) || !bytes.Equal(got[1], blk) {
-					t.Errorf("session %d observed a torn round: %x / %x", fill, got[0][0], got[1][0])
+				if !bytes.Equal(got[:bs], blk) || !bytes.Equal(got[bs:], blk) {
+					t.Errorf("session %d observed a torn round: %x / %x", fill, got[0], got[bs])
 					return
 				}
 			}

@@ -83,10 +83,10 @@ func TestGuardTimedSharesSerialization(t *testing.T) {
 	if g.Rounds() < 2 {
 		t.Fatalf("rounds = %d, want >= 2 (both views count)", g.Rounds())
 	}
-	if _, err := v.ReadMany([]int64{0, 1}); err != nil {
+	if _, err := v.ReadMany(nil, []int64{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Exchange([]int64{0}, [][]byte{[]byte("abcdefgh")}, []int64{0}); err != nil {
+	if _, err := v.Exchange(nil, []int64{0}, [][]byte{[]byte("abcdefgh")}, []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 4 || v.BlockSize() != 8 {

@@ -32,10 +32,11 @@
 //
 // A Router is safe for concurrent use exactly when its sub-stores are
 // (remote.Client and storage.MemStore both are): it holds no mutable state
-// of its own besides atomic per-shard counters, and a single logical batch
-// runs one goroutine per involved shard. Merging writes only
-// disjoint positions of the result slice, so no locks are needed on the
-// response path.
+// of its own besides atomic per-shard counters (and pooled staging
+// buffers), and a single logical batch runs one goroutine per involved
+// shard. Each shard's blocks are copied only to that shard's own positions
+// in the caller's read buffer, so no locks are needed on the response
+// path.
 //
 // # Failure atomicity
 //

@@ -215,12 +215,39 @@ func involvedShards(locals [][]int64) []int {
 	return out
 }
 
+// stagePool recycles the staging buffers a shard's share of a fanned-out
+// read lands in before gather copies its blocks to their batch positions.
+var stagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// gather runs one shard's read into a pooled staging buffer and copies
+// block k of it to position positions[k] of out (a batch's blocks, back to
+// back). Shards own disjoint positions, so concurrent gathers into the
+// same out never overlap.
+func (r *Router) gather(out []byte, positions []int, read func(stage []byte) ([]byte, error)) error {
+	bp := stagePool.Get().(*[]byte)
+	defer stagePool.Put(bp)
+	blks, err := read((*bp)[:0])
+	if err != nil {
+		return err
+	}
+	*bp = blks[:0]
+	bs := r.blockSize
+	if len(blks) != len(positions)*bs {
+		return fmt.Errorf("shard: %d of %d blocks returned", len(blks)/bs, len(positions))
+	}
+	for k, pos := range positions {
+		copy(out[pos*bs:(pos+1)*bs], blks[k*bs:])
+	}
+	return nil
+}
+
 // ReadMany implements storage.BatchStore: the batch is split by the
 // striping function, fetched from every involved shard in parallel, and
-// merged back in batch order — one logical round.
-func (r *Router) ReadMany(idxs []int64) ([][]byte, error) {
+// each shard's blocks written to their positions in dst — one logical
+// round.
+func (r *Router) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	for _, i := range idxs {
 		if i < 0 || i >= r.slots {
@@ -228,18 +255,15 @@ func (r *Router) ReadMany(idxs []int64) ([][]byte, error) {
 		}
 	}
 	locals, positions := r.split(idxs)
-	out := make([][]byte, len(idxs))
+	off := len(dst)
+	dst = storage.GrowBlocks(dst, len(idxs), r.blockSize)
 	err := r.fanOut(involvedShards(locals), func(s int) error {
 		start := time.Now()
-		blks, err := r.subs[s].ReadMany(locals[s])
+		err := r.gather(dst[off:], positions[s], func(stage []byte) ([]byte, error) {
+			return r.subs[s].ReadMany(stage, locals[s])
+		})
 		if err != nil {
 			return err
-		}
-		if len(blks) != len(locals[s]) {
-			return fmt.Errorf("shard: %d of %d blocks returned", len(blks), len(locals[s]))
-		}
-		for k, pos := range positions[s] {
-			out[pos] = blks[k]
 		}
 		r.record(s, len(locals[s]), time.Since(start))
 		return nil
@@ -250,7 +274,7 @@ func (r *Router) ReadMany(idxs []int64) ([][]byte, error) {
 	if r.meter != nil {
 		r.meter.CountBatch(r.name, storage.KindRead, idxs, r.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // WriteMany implements storage.BatchStore. The whole batch is validated
@@ -298,13 +322,14 @@ func (r *Router) WriteMany(idxs []int64, data [][]byte) error {
 // in parallel and the whole combined batch is metered as one logical
 // round. Writes and reads for the same global index land on the same
 // shard, and every backend applies a sub-exchange's writes before serving
-// its reads, so the read-after-write contract holds globally.
-func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+// its reads, so the read-after-write contract holds globally. The reads
+// are gathered into dst as in ReadMany.
+func (r *Router) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("shard: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), r.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	for k, i := range writeIdxs {
 		if i < 0 || i >= r.slots {
@@ -333,22 +358,19 @@ func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int6
 			shards = append(shards, s)
 		}
 	}
-	out := make([][]byte, len(readIdxs))
+	off := len(dst)
+	dst = storage.GrowBlocks(dst, len(readIdxs), r.blockSize)
 	err := r.fanOut(shards, func(s int) error {
 		wSub := make([][]byte, len(wPositions[s]))
 		for k, pos := range wPositions[s] {
 			wSub[k] = writeData[pos]
 		}
 		start := time.Now()
-		blks, err := r.subExchange(s, wLocals[s], wSub, rLocals[s])
+		err := r.gather(dst[off:], rPositions[s], func(stage []byte) ([]byte, error) {
+			return r.subExchange(s, stage, wLocals[s], wSub, rLocals[s])
+		})
 		if err != nil {
 			return err
-		}
-		if len(blks) != len(rLocals[s]) {
-			return fmt.Errorf("shard: %d of %d blocks returned", len(blks), len(rLocals[s]))
-		}
-		for k, pos := range rPositions[s] {
-			out[pos] = blks[k]
 		}
 		r.record(s, len(wLocals[s])+len(rLocals[s]), time.Since(start))
 		return nil
@@ -356,24 +378,21 @@ func (r *Router) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int6
 	if err != nil {
 		return nil, err
 	}
-	if len(readIdxs) == 0 {
-		out = nil
-	}
 	if r.meter != nil {
 		r.meter.CountExchange(r.name, writeIdxs, readIdxs, r.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // subExchange issues one shard's share of an exchange, falling back to
 // write-then-read when the sub-store lacks the exchange op (the fallback
 // costs that shard an extra physical trip but is still one logical round).
-func (r *Router) subExchange(s int, wIdxs []int64, wData [][]byte, rIdxs []int64) ([][]byte, error) {
+func (r *Router) subExchange(s int, dst []byte, wIdxs []int64, wData [][]byte, rIdxs []int64) ([]byte, error) {
 	if x, ok := r.subs[s].(storage.ExchangeStore); ok {
-		return x.Exchange(wIdxs, wData, rIdxs)
+		return x.Exchange(dst, wIdxs, wData, rIdxs)
 	}
 	if err := r.subs[s].WriteMany(wIdxs, wData); err != nil {
 		return nil, err
 	}
-	return r.subs[s].ReadMany(rIdxs)
+	return r.subs[s].ReadMany(dst, rIdxs)
 }

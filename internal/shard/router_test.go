@@ -65,16 +65,15 @@ func TestPartitionFunction(t *testing.T) {
 // ErrOutOfRange wrapping.
 func TestRouterBatchContractMem(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
-		pool, err := NewPool(memOpeners(n, nil), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		open := pool.Opener()
 		k := 0
 		storetest.TestBatchContract(t, fmt.Sprintf("router-%dshard", n),
-			func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+			func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.BatchStore {
+				pool, err := NewPool(memOpeners(n, nil), m)
+				if err != nil {
+					t.Fatal(err)
+				}
 				k++
-				st, err := open(fmt.Sprintf("contract%d", k), slots, blockSize)
+				st, err := pool.Opener()(fmt.Sprintf("contract%d", k), slots, blockSize)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +150,7 @@ func TestRouterBatchContractRemote(t *testing.T) {
 	open := pool.Opener()
 	k := 0
 	storetest.TestBatchContract(t, "router-remote",
-		func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
+		func(t *testing.T, slots int64, blockSize int, _ *storage.Meter) storage.BatchStore {
 			k++
 			st, err := open(fmt.Sprintf("contract%d", k), slots, blockSize)
 			if err != nil {
@@ -185,11 +184,11 @@ func (f *faultStore) WriteMany(idxs []int64, data [][]byte) error {
 	return nil
 }
 
-func (f *faultStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+func (f *faultStore) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if f.fail.Load() {
 		return nil, errors.New("injected shard failure")
 	}
-	out, err := f.MemStore.Exchange(writeIdxs, writeData, readIdxs)
+	out, err := f.MemStore.Exchange(dst, writeIdxs, writeData, readIdxs)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +277,7 @@ func TestPartialShardFailure(t *testing.T) {
 	}
 	// Same for a failed exchange: the failing shard applies nothing.
 	f1.fail.Store(true)
-	if _, err := r.Exchange([]int64{1, 2}, [][]byte{blk(5), blk(5)}, []int64{0}); err == nil {
+	if _, err := r.Exchange(nil, []int64{1, 2}, [][]byte{blk(5), blk(5)}, []int64{0}); err == nil {
 		t.Fatal("exchange with a dead shard succeeded")
 	}
 	if f1.writes.Load() != w1 {
@@ -309,10 +308,10 @@ func TestRouterOneLogicalRound(t *testing.T) {
 	if err := r.WriteMany(idxs, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadMany(idxs); err != nil {
+	if _, err := r.ReadMany(nil, idxs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Exchange(idxs[:2], data[:2], idxs[2:]); err != nil {
+	if _, err := r.Exchange(nil, idxs[:2], data[:2], idxs[2:]); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -325,7 +324,7 @@ func TestRouterOneLogicalRound(t *testing.T) {
 		}
 	}
 	// Read-back merges positions correctly across the fan-out.
-	got, err := r.ReadMany(idxs)
+	got, err := r.ReadMany(nil, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +334,8 @@ func TestRouterOneLogicalRound(t *testing.T) {
 			// positions 0,1 were rewritten by the exchange with the same data
 			want = byte(i)
 		}
-		if got[i][0] != want {
-			t.Fatalf("position %d fill %#x, want %#x", i, got[i][0], want)
+		if got[i*32] != want {
+			t.Fatalf("position %d fill %#x, want %#x", i, got[i*32], want)
 		}
 	}
 	// Per-shard counters saw every shard.

@@ -35,7 +35,7 @@ func TestTraceCap(t *testing.T) {
 	}
 
 	// Batched accesses drop per block past the cap.
-	if _, err := st.ReadMany([]int64{0, 1, 2}); err != nil {
+	if _, err := st.ReadMany(nil, []int64{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Dropped(); got != 9 {
@@ -97,13 +97,13 @@ func TestCountBatchEmpty(t *testing.T) {
 	// The batch stores enforce the same at their layer: empty ReadMany and
 	// WriteMany skip the meter entirely.
 	st := NewMemStore("s", 8, 64, m)
-	if _, err := st.ReadMany(nil); err != nil {
+	if _, err := st.ReadMany(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.WriteMany(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Exchange(nil, nil, nil); err != nil {
+	if _, err := st.Exchange(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := m.Snapshot(); s.NetworkRounds != 0 {
@@ -155,24 +155,24 @@ func TestMemStoreExchangeApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
-	got, err := st.Exchange([]int64{2, 3}, [][]byte{[]byte("new!"), []byte("tail")}, []int64{2, 3})
+	got, err := st.Exchange(nil, []int64{2, 3}, [][]byte{[]byte("new!"), []byte("tail")}, []int64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got[0]) != "new!" || string(got[1]) != "tail" {
-		t.Fatalf("exchange read stale data: %q %q", got[0], got[1])
+	if string(got) != "new!tail" {
+		t.Fatalf("exchange read stale data: %q", got)
 	}
 	if d := m.Snapshot().Sub(before); d.NetworkRounds != 1 || d.BlockWrites != 2 || d.BlockReads != 2 {
 		t.Fatalf("exchange traffic: %+v", d)
 	}
 	// Write/read mismatches and bounds violations are rejected.
-	if _, err := st.Exchange([]int64{1}, nil, nil); err == nil {
+	if _, err := st.Exchange(nil, []int64{1}, nil, nil); err == nil {
 		t.Fatal("mismatched exchange accepted")
 	}
-	if _, err := st.Exchange([]int64{99}, [][]byte{[]byte("oob!")}, nil); err == nil {
+	if _, err := st.Exchange(nil, []int64{99}, [][]byte{[]byte("oob!")}, nil); err == nil {
 		t.Fatal("out-of-range exchange write accepted")
 	}
-	if _, err := st.Exchange(nil, nil, []int64{99}); err == nil {
+	if _, err := st.Exchange(nil, nil, nil, []int64{99}); err == nil {
 		t.Fatal("out-of-range exchange read accepted")
 	}
 }

@@ -13,6 +13,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -54,10 +55,17 @@ type Store interface {
 // live state (see storetest.TestBatchContract, which every backend runs).
 type BatchStore interface {
 	Store
-	// ReadMany returns copies of the blocks at the given indices, in order,
-	// in a single round trip. An empty batch performs no round. A repeated
-	// index yields the same block at each of its positions.
-	ReadMany(idxs []int64) ([][]byte, error)
+	// ReadMany appends the blocks at the given indices, in order, to dst in
+	// a single round trip and returns the extended slice: block k of the
+	// batch is out[len(dst)+k*BlockSize():][:BlockSize()]. The caller owns
+	// dst — the prefix dst[:len(dst)] is kept, and dst grows (reallocating)
+	// only when its capacity is short — so a caller that passes the same
+	// buffer back every time reads with no per-block allocation. The
+	// appended bytes are a copy: changing them never changes the store. A
+	// repeated index yields the same block at each of its positions. An
+	// empty batch returns dst unchanged and performs no round; on error
+	// the result is nil.
+	ReadMany(dst []byte, idxs []int64) ([]byte, error)
 	// WriteMany replaces the block at idxs[i] with data[i] for every i, in a
 	// single round trip, applying positions in increasing i so duplicate
 	// indices resolve last-writer-wins. len(data) must equal len(idxs).
@@ -75,9 +83,33 @@ type ExchangeStore interface {
 	BatchStore
 	// Exchange writes writeData[i] to writeIdxs[i] for every i — in slice
 	// order, so duplicate write indices resolve last-writer-wins exactly as
-	// in WriteMany — then returns copies of the blocks at readIdxs, all in
-	// one round trip.
-	Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error)
+	// in WriteMany — then appends the blocks at readIdxs to dst, all in one
+	// round trip. The read side follows ReadMany's dst contract.
+	Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error)
+}
+
+// ReadBlocks appends the blocks at idxs to dst (ReadMany's contract): one
+// ReadMany when st is a BatchStore, one Read per block otherwise. Callers
+// that meter rounds themselves account the fallback's round.
+func ReadBlocks(st Store, dst []byte, idxs []int64) ([]byte, error) {
+	if b, ok := st.(BatchStore); ok {
+		return b.ReadMany(dst, idxs)
+	}
+	for _, i := range idxs {
+		blk, err := st.Read(i)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, blk...)
+	}
+	return dst, nil
+}
+
+// GrowBlocks extends dst by n blocks of blockSize bytes, reallocating only
+// when its capacity is short, and returns the extended slice. The prefix
+// dst[:len(dst)] is kept; the new tail's contents are unspecified.
+func GrowBlocks(dst []byte, n, blockSize int) []byte {
+	return slices.Grow(dst, n*blockSize)[:len(dst)+n*blockSize]
 }
 
 // Opener provisions a named block store with the given geometry. It is how
@@ -127,13 +159,32 @@ func (s *MemStore) Len() int64 {
 // BlockSize implements Store.
 func (s *MemStore) BlockSize() int { return s.blockSize }
 
+// checkLocked validates one index against the current slot count. Grow
+// changes s.n, so callers hold s.mu (read or write).
+func (s *MemStore) checkLocked(op string, i int64) error {
+	if i < 0 || i >= s.n {
+		return fmt.Errorf("%w: %s %d of %d (%s)", ErrOutOfRange, op, i, s.n, s.name)
+	}
+	return nil
+}
+
+// checkBlock validates one write payload's size; the block size never
+// changes, so no lock is needed.
+func (s *MemStore) checkBlock(op string, data []byte) error {
+	if len(data) != s.blockSize {
+		return fmt.Errorf("storage: %s of %d bytes to %d-byte block (%s)", op, len(data), s.blockSize, s.name)
+	}
+	return nil
+}
+
 // Read implements Store.
 func (s *MemStore) Read(i int64) ([]byte, error) {
-	if i < 0 || i >= s.n {
-		return nil, fmt.Errorf("%w: read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-	}
 	out := make([]byte, s.blockSize)
 	s.mu.RLock()
+	if err := s.checkLocked("read", i); err != nil {
+		s.mu.RUnlock()
+		return nil, err
+	}
 	copy(out, s.data[i*int64(s.blockSize):])
 	s.mu.RUnlock()
 	if s.meter != nil {
@@ -144,13 +195,14 @@ func (s *MemStore) Read(i int64) ([]byte, error) {
 
 // Write implements Store.
 func (s *MemStore) Write(i int64, data []byte) error {
-	if i < 0 || i >= s.n {
-		return fmt.Errorf("%w: write %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-	}
-	if len(data) != s.blockSize {
-		return fmt.Errorf("storage: write of %d bytes to %d-byte block (%s)", len(data), s.blockSize, s.name)
+	if err := s.checkBlock("write", data); err != nil {
+		return err
 	}
 	s.mu.Lock()
+	if err := s.checkLocked("write", i); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	copy(s.data[i*int64(s.blockSize):], data)
 	s.mu.Unlock()
 	if s.meter != nil {
@@ -159,28 +211,45 @@ func (s *MemStore) Write(i int64, data []byte) error {
 	return nil
 }
 
-// ReadMany implements BatchStore. All blocks are copied under one lock
-// acquisition and metered as a single network round.
-func (s *MemStore) ReadMany(idxs []int64) ([][]byte, error) {
+// ReadMany implements BatchStore. All blocks are copied into dst under one
+// lock acquisition and metered as a single network round.
+func (s *MemStore) ReadMany(dst []byte, idxs []int64) ([]byte, error) {
 	if len(idxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([][]byte, len(idxs))
 	s.mu.RLock()
-	for k, i := range idxs {
-		if i < 0 || i >= s.n {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("%w: batch read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
-		blk := make([]byte, s.blockSize)
-		copy(blk, s.data[i*int64(s.blockSize):])
-		out[k] = blk
+	if err := s.checkAllLocked("batch read", idxs); err != nil {
+		s.mu.RUnlock()
+		return nil, err
 	}
+	dst = s.readLocked(dst, idxs)
 	s.mu.RUnlock()
 	if s.meter != nil {
 		s.meter.CountBatch(s.name, KindRead, idxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// checkAllLocked validates every index of a batch. Callers hold s.mu.
+func (s *MemStore) checkAllLocked(op string, idxs []int64) error {
+	for _, i := range idxs {
+		if err := s.checkLocked(op, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readLocked appends the blocks at the (validated) idxs to dst. Callers
+// hold s.mu.
+func (s *MemStore) readLocked(dst []byte, idxs []int64) []byte {
+	bs := s.blockSize
+	off := len(dst)
+	dst = GrowBlocks(dst, len(idxs), bs)
+	for k, i := range idxs {
+		copy(dst[off+k*bs:off+(k+1)*bs], s.data[i*int64(bs):])
+	}
+	return dst
 }
 
 // WriteMany implements BatchStore.
@@ -191,15 +260,16 @@ func (s *MemStore) WriteMany(idxs []int64, data [][]byte) error {
 	if len(idxs) == 0 {
 		return nil
 	}
-	for k, i := range idxs {
-		if i < 0 || i >= s.n {
-			return fmt.Errorf("%w: batch write %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
-		if len(data[k]) != s.blockSize {
-			return fmt.Errorf("storage: batch write of %d bytes to %d-byte block (%s)", len(data[k]), s.blockSize, s.name)
+	for _, d := range data {
+		if err := s.checkBlock("batch write", d); err != nil {
+			return err
 		}
 	}
 	s.mu.Lock()
+	if err := s.checkAllLocked("batch write", idxs); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	for k, i := range idxs {
 		copy(s.data[i*int64(s.blockSize):], data[k])
 	}
@@ -211,47 +281,39 @@ func (s *MemStore) WriteMany(idxs []int64, data [][]byte) error {
 }
 
 // Exchange implements ExchangeStore: the writes are applied, then the reads
-// served, under a single lock acquisition, metered as one round.
-func (s *MemStore) Exchange(writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([][]byte, error) {
+// appended to dst, under a single lock acquisition, metered as one round.
+func (s *MemStore) Exchange(dst []byte, writeIdxs []int64, writeData [][]byte, readIdxs []int64) ([]byte, error) {
 	if len(writeIdxs) != len(writeData) {
 		return nil, fmt.Errorf("storage: exchange of %d write blocks with %d payloads (%s)", len(writeIdxs), len(writeData), s.name)
 	}
 	if len(writeIdxs) == 0 && len(readIdxs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
+	for _, d := range writeData {
+		if err := s.checkBlock("exchange write", d); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.Lock()
 	// Validate the whole exchange — writes and reads — before touching any
 	// slot, so a malformed request can never commit a partial batch.
-	for k, i := range writeIdxs {
-		if i < 0 || i >= s.n {
-			return nil, fmt.Errorf("%w: exchange write %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
-		if len(writeData[k]) != s.blockSize {
-			return nil, fmt.Errorf("storage: exchange write of %d bytes to %d-byte block (%s)", len(writeData[k]), s.blockSize, s.name)
-		}
+	err := s.checkAllLocked("exchange write", writeIdxs)
+	if err == nil {
+		err = s.checkAllLocked("exchange read", readIdxs)
 	}
-	for _, i := range readIdxs {
-		if i < 0 || i >= s.n {
-			return nil, fmt.Errorf("%w: exchange read %d of %d (%s)", ErrOutOfRange, i, s.n, s.name)
-		}
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
-	var out [][]byte
-	s.mu.Lock()
 	for k, i := range writeIdxs {
 		copy(s.data[i*int64(s.blockSize):], writeData[k])
 	}
-	if len(readIdxs) > 0 {
-		out = make([][]byte, len(readIdxs))
-		for k, i := range readIdxs {
-			blk := make([]byte, s.blockSize)
-			copy(blk, s.data[i*int64(s.blockSize):])
-			out[k] = blk
-		}
-	}
+	dst = s.readLocked(dst, readIdxs)
 	s.mu.Unlock()
 	if s.meter != nil {
 		s.meter.CountExchange(s.name, writeIdxs, readIdxs, s.blockSize)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // SizeBytes returns the total server-side footprint of the store.

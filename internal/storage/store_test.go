@@ -195,17 +195,17 @@ func TestMemStoreBatchOps(t *testing.T) {
 	if err := s.WriteMany(idxs, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadMany(idxs)
+	got, err := s.ReadMany(nil, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range idxs {
-		if !bytes.Equal(got[k], data[k]) {
+		if !bytes.Equal(got[k*8:(k+1)*8], data[k]) {
 			t.Fatalf("block %d mismatch", idxs[k])
 		}
 	}
 	// Batch reads return copies.
-	got[0][0] = 0xEE
+	got[0] = 0xEE
 	again, _ := s.Read(idxs[0])
 	if again[0] != 1 {
 		t.Fatal("ReadMany did not return copies")
@@ -219,7 +219,7 @@ func TestMemStoreBatchOps(t *testing.T) {
 		t.Fatalf("counts: %+v", st)
 	}
 	// Errors: bounds, length mismatch, short block.
-	if _, err := s.ReadMany([]int64{0, 99}); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.ReadMany(nil, []int64{0, 99}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("batch read oob: %v", err)
 	}
 	if err := s.WriteMany([]int64{0, 99}, [][]byte{data[0], data[1]}); !errors.Is(err, ErrOutOfRange) {
@@ -238,7 +238,7 @@ func TestMemStoreBatchOps(t *testing.T) {
 	}
 	// Empty batches move nothing and cost nothing.
 	before := m.Snapshot()
-	if out, err := s.ReadMany(nil); err != nil || out != nil {
+	if out, err := s.ReadMany(nil, nil); err != nil || out != nil {
 		t.Fatalf("empty read: %v %v", out, err)
 	}
 	if err := s.WriteMany(nil, nil); err != nil {
@@ -324,5 +324,45 @@ func TestMeterConcurrent(t *testing.T) {
 func TestAccessKindString(t *testing.T) {
 	if KindRead.String() != "read" || KindWrite.String() != "write" {
 		t.Fatal("AccessKind strings")
+	}
+}
+
+// TestMemStoreGrowConcurrentAccess runs batch reads, writes and exchanges
+// while another goroutine grows the store. Grow rewrites the slot count and
+// reallocates the data under the lock, so every bounds check must read the
+// slot count under the lock too; under -race an unlocked check fails here.
+func TestMemStoreGrowConcurrentAccess(t *testing.T) {
+	const bs = 16
+	s := NewMemStore("grow", 4, bs, NewMeter())
+	blk := bytes.Repeat([]byte{0x5A}, bs)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			s.Grow(1)
+		}
+	}()
+	var dst []byte
+	for i := 0; i < 200; i++ {
+		var err error
+		if dst, err = s.ReadMany(dst[:0], []int64{0, 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(int64(i%4), blk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Read(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteMany([]int64{1}, [][]byte{blk}); err != nil {
+			t.Fatal(err)
+		}
+		if dst, err = s.Exchange(dst[:0], []int64{2}, [][]byte{blk}, []int64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if got := s.Len(); got != 204 {
+		t.Fatalf("grown to %d slots, want 204", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // ErrOutOfRange) against the in-memory reference backend. The disk and
 // remote backends run the identical suite in their own packages.
 func TestMemStoreBatchContract(t *testing.T) {
-	storetest.TestBatchContract(t, "mem", func(t *testing.T, slots int64, blockSize int) storage.BatchStore {
-		return storage.NewMemStore("contract", slots, blockSize, nil)
+	storetest.TestBatchContract(t, "mem", func(t *testing.T, slots int64, blockSize int, m *storage.Meter) storage.BatchStore {
+		return storage.NewMemStore("contract", slots, blockSize, m)
 	})
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // KeySize is the AES key length in bytes (AES-128, as in the paper).
@@ -71,24 +72,39 @@ var (
 )
 
 // Sealer encrypts and decrypts fixed-size blocks. A Sealer is safe for
-// concurrent use by multiple goroutines; per-epoch AEADs are derived lazily
-// under a lock and immutable afterwards. Seal always uses the current epoch;
+// concurrent use by multiple goroutines. Seal always uses the current epoch;
 // Open accepts any epoch (and the legacy format), which is what makes
 // rotation lazy: blocks re-seal at the new epoch whenever they are next
 // written back.
+//
+// Seal and Open take no lock: Seal reads the current {epoch, AEAD}
+// snapshot with one atomic load, and Open finds a block's epoch AEAD in a
+// table of atomic pointers. Per-epoch AEADs are derived lazily under mu and
+// immutable once published. Close publishes a snapshot without an AEAD and
+// clears the table under mu, so every Seal or Open that starts after Close
+// returns fails with ErrSealerClosed.
 type Sealer struct {
-	mu     sync.RWMutex
-	aeads  map[uint8]cipher.AEAD
-	epoch  uint8
+	cur   atomic.Pointer[epochAEAD]      // epoch new seals use; aead nil after Close
+	aeads [256]atomic.Pointer[epochAEAD] // derived AEADs by epoch; cleared by Close
+
+	// mu serializes derivation, SetEpoch and Close, and guards the fields
+	// below.
+	mu     sync.Mutex
 	keyFor func(epoch uint8) [KeySize]byte // epoch subkey derivation; nil after Close
+	closed bool
 
 	// Legacy CTR+HMAC material, kept so pre-refactor ciphertexts under the
 	// same master key still open (and for LegacySeal fixtures/benches).
 	legacyBlock cipher.Block
 	legacyMac   [KeySize]byte
 
-	rand   io.Reader
-	closed bool
+	rand io.Reader
+}
+
+// epochAEAD is one key epoch's GCM instance.
+type epochAEAD struct {
+	epoch uint8
+	aead  cipher.AEAD
 }
 
 // NewSealer returns a Sealer using the given 16-byte key. All subkeys — the
@@ -119,8 +135,6 @@ func newSealer(root [sha256.Size]byte, legacyEnc, legacyMac [KeySize]byte, epoch
 		randSrc = rand.Reader
 	}
 	s := &Sealer{
-		aeads: make(map[uint8]cipher.AEAD),
-		epoch: epoch,
 		keyFor: func(e uint8) [KeySize]byte {
 			var k [KeySize]byte
 			sub := hkdf(root[:], fmt.Sprintf("epoch:%d", e))
@@ -132,7 +146,7 @@ func newSealer(root [sha256.Size]byte, legacyEnc, legacyMac [KeySize]byte, epoch
 		legacyMac:   legacyMac,
 		rand:        randSrc,
 	}
-	if _, err := s.aead(epoch); err != nil {
+	if err := s.SetEpoch(epoch); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -187,26 +201,29 @@ func zero(b []byte) {
 	}
 }
 
-// aead returns the AEAD for the given epoch, deriving and caching it on
-// first use.
+// aead returns the AEAD for the given epoch: a lock-free table read once
+// the epoch is derived, a derivation under mu the first time.
 func (s *Sealer) aead(epoch uint8) (cipher.AEAD, error) {
-	s.mu.RLock()
-	a, ok := s.aeads[epoch]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrSealerClosed
-	}
-	if ok {
-		return a, nil
+	if e := s.aeads[epoch].Load(); e != nil {
+		return e.aead, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, err := s.deriveLocked(epoch)
+	if err != nil {
+		return nil, err
+	}
+	return e.aead, nil
+}
+
+// deriveLocked returns the epoch's AEAD, deriving and publishing it on
+// first use. Callers hold s.mu.
+func (s *Sealer) deriveLocked(epoch uint8) (*epochAEAD, error) {
 	if s.closed {
 		return nil, ErrSealerClosed
 	}
-	if a, ok := s.aeads[epoch]; ok {
-		return a, nil
+	if e := s.aeads[epoch].Load(); e != nil {
+		return e, nil
 	}
 	k := s.keyFor(epoch)
 	block, err := aes.NewCipher(k[:])
@@ -214,20 +231,17 @@ func (s *Sealer) aead(epoch uint8) (cipher.AEAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: %w", err)
 	}
-	a, err = cipher.NewGCM(block)
+	a, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: %w", err)
 	}
-	s.aeads[epoch] = a
-	return a, nil
+	e := &epochAEAD{epoch: epoch, aead: a}
+	s.aeads[epoch].Store(e)
+	return e, nil
 }
 
 // Epoch reports the key epoch new seals are tagged with.
-func (s *Sealer) Epoch() uint8 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
+func (s *Sealer) Epoch() uint8 { return s.cur.Load().epoch }
 
 // SetEpoch rotates the sealer to the given key epoch: subsequent Seals use
 // the epoch's HKDF-derived subkey, while Open keeps accepting every epoch
@@ -235,12 +249,13 @@ func (s *Sealer) Epoch() uint8 {
 // the new epoch as they are rewritten — and, because the epoch byte rides
 // inside the fixed-size sealed layout, invisible in the access sequence.
 func (s *Sealer) SetEpoch(epoch uint8) error {
-	if _, err := s.aead(epoch); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.deriveLocked(epoch)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.epoch = epoch
-	s.mu.Unlock()
+	s.cur.Store(e)
 	return nil
 }
 
@@ -253,12 +268,13 @@ func (s *Sealer) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.cur.Store(&epochAEAD{epoch: s.cur.Load().epoch})
+	for e := range s.aeads {
+		s.aeads[e].Store(nil)
+	}
 	s.keyFor = nil
 	s.legacyBlock = nil
 	zero(s.legacyMac[:])
-	for e := range s.aeads {
-		delete(s.aeads, e)
-	}
 	return nil
 }
 
@@ -276,12 +292,9 @@ func (s *Sealer) Seal(plaintext []byte) ([]byte, error) {
 // free path the ORAM write-back loops use. plaintext must not alias dst's
 // spare capacity.
 func (s *Sealer) SealTo(dst, plaintext []byte) ([]byte, error) {
-	s.mu.RLock()
-	epoch := s.epoch
-	s.mu.RUnlock()
-	aead, err := s.aead(epoch)
-	if err != nil {
-		return nil, err
+	cur := s.cur.Load()
+	if cur.aead == nil {
+		return nil, ErrSealerClosed
 	}
 	off := len(dst)
 	need := off + SealedLen(len(plaintext))
@@ -293,13 +306,13 @@ func (s *Sealer) SealTo(dst, plaintext []byte) ([]byte, error) {
 	dst = dst[:off+headerSize+NonceSize]
 	hdr := dst[off : off+headerSize]
 	hdr[0] = FormatGCM
-	hdr[1] = epoch
+	hdr[1] = cur.epoch
 	hdr[2], hdr[3] = 0, 0
 	nonce := dst[off+headerSize : off+headerSize+NonceSize]
 	if _, err := io.ReadFull(s.rand, nonce); err != nil {
 		return nil, fmt.Errorf("xcrypto: reading nonce: %w", err)
 	}
-	return aead.Seal(dst, nonce, plaintext, hdr), nil
+	return cur.aead.Seal(dst, nonce, plaintext, hdr), nil
 }
 
 // Open verifies and decrypts a block produced by Seal (any epoch) or by the
@@ -355,10 +368,10 @@ func (s *Sealer) openGCM(dst, sealed []byte) ([]byte, error) {
 
 // openLegacy verifies and decrypts a format-1 (CTR+HMAC) block.
 func (s *Sealer) openLegacy(dst, sealed []byte) ([]byte, error) {
-	s.mu.RLock()
+	s.mu.Lock()
 	block := s.legacyBlock
 	closed := s.closed
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if closed {
 		return nil, ErrSealerClosed
 	}
@@ -390,10 +403,10 @@ func (s *Sealer) openLegacy(dst, sealed []byte) ([]byte, error) {
 // for compatibility fixtures, the cross-version fuzz corpus, and the crypto
 // bench's old-vs-new comparison; production writes always use Seal.
 func (s *Sealer) LegacySeal(plaintext []byte) ([]byte, error) {
-	s.mu.RLock()
+	s.mu.Lock()
 	block := s.legacyBlock
 	closed := s.closed
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if closed {
 		return nil, ErrSealerClosed
 	}
@@ -413,9 +426,9 @@ func (s *Sealer) LegacySeal(plaintext []byte) ([]byte, error) {
 }
 
 func (s *Sealer) legacyTag(data []byte) []byte {
-	s.mu.RLock()
+	s.mu.Lock()
 	mac := s.legacyMac
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	h := hmac.New(sha256.New, mac[:])
 	h.Write(data)
 	return h.Sum(nil)

@@ -3,6 +3,7 @@ package xcrypto
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -334,6 +335,72 @@ func TestSealerClose(t *testing.T) {
 	if _, err := s.LegacySeal([]byte("z")); err != ErrSealerClosed {
 		t.Errorf("LegacySeal after Close: got %v, want ErrSealerClosed", err)
 	}
+}
+
+// TestSealerConcurrentRotateAndClose seals and opens from several
+// goroutines while the epoch rotates and the sealer closes. Under -race
+// this pins the lock-free snapshot and epoch table; every operation either
+// succeeds or reports ErrSealerClosed, and once Close has returned every
+// Seal, Open and SetEpoch fails with ErrSealerClosed.
+func TestSealerConcurrentRotateAndClose(t *testing.T) {
+	s := newTestSealer(t)
+	plain := bytes.Repeat([]byte{0x42}, 256)
+	before, err := s.Seal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sealed, err := s.SealTo(buf[:0], plain)
+				if err != nil {
+					if err != ErrSealerClosed {
+						t.Errorf("Seal: %v", err)
+						return
+					}
+					continue
+				}
+				buf = sealed
+				got, err := s.Open(sealed)
+				if err == ErrSealerClosed {
+					continue
+				}
+				if err != nil || !bytes.Equal(got, plain) {
+					t.Errorf("Open of a concurrent seal: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for e := 0; e < 64; e++ {
+		if err := s.SetEpoch(uint8(e % 5)); err != nil {
+			t.Fatalf("SetEpoch(%d): %v", e%5, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seal(plain); err != ErrSealerClosed {
+		t.Errorf("Seal after Close: got %v, want ErrSealerClosed", err)
+	}
+	if _, err := s.Open(before); err != ErrSealerClosed {
+		t.Errorf("Open after Close: got %v, want ErrSealerClosed", err)
+	}
+	if err := s.SetEpoch(9); err != ErrSealerClosed {
+		t.Errorf("SetEpoch after Close: got %v, want ErrSealerClosed", err)
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func BenchmarkSeal4KB(b *testing.B) {
